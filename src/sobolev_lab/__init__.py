@@ -1,5 +1,13 @@
 """Numerical laboratory for sharp Sobolev inequalities on model manifolds."""
 
+import os
+
+# Honor the thread cap before BLAS is initialized by the numpy import.
+_threads = os.environ.get("SOBOLEV_LAB_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
 from .geometry import ManifoldModel, ModelKind, make_product, make_sphere, unit_sphere_volume
 from .discretization import (
     DiscreteFunction,
@@ -24,6 +32,7 @@ from .functionals import (
 )
 from .constants import (
     ConstantsReport,
+    a_opt_default,
     a_opt_product_critical,
     a_opt_sphere_closed_form,
     a_opt_spectral_gap,

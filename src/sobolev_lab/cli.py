@@ -9,17 +9,10 @@ error, 3 numerical failure.
 
 from __future__ import annotations
 
-import os
-
-# Honor the thread cap before BLAS is initialized by the numpy import.
-_threads = os.environ.get("SOBOLEV_LAB_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
 
@@ -108,12 +101,7 @@ def _build_spec(cfg: dict):
         cfg["q"] = q
     A = cfg.get("A", 0.0)
     if A <= 0:
-        if cfg["model"] == "sphere":
-            A = cst.a_opt_sphere_closed_form(model.dim, q)
-        elif abs(q - sobolev_conjugate(model.dim)) < 1e-12:
-            A = cst.a_opt_product_critical(model.dim)
-        else:
-            A = cst.a_opt_spectral_gap(disc, q)
+        A, _ = cst.a_opt_default(model, disc, q)
         cfg["A"] = A
     B = cfg.get("B", 0.0)
     if B <= 0:
@@ -255,7 +243,7 @@ def cmd_fit(args) -> int:
     x = np.array([r["distance"] for r in window])
     y = np.array([r["deficit"] for r in window])
     slope, stderr = st.fit_loglog(x, y)
-    verdict = st.classify(None, None, [slope])
+    verdict = st.classify([slope])
     print(f"slope {slope:.4f} +/- {stderr:.1e} over {len(window)} points -> {verdict}")
     return EXIT_OK
 

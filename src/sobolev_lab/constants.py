@@ -196,6 +196,15 @@ class ConstantsReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
+def a_opt_default(model: ManifoldModel, disc: Discretization, q: float) -> tuple[float, str]:
+    """The default A_opt of a model at exponent q, with its provenance."""
+    if model.kind is ModelKind.SPHERE_RADIAL:
+        return a_opt_sphere_closed_form(model.dim, q), "closed-form-sphere"
+    if abs(q - sobolev_conjugate(model.dim)) < 1e-12:
+        return a_opt_product_critical(model.dim), "product-critical"
+    return a_opt_spectral_gap(disc, q), "spectral-gap"
+
+
 def constants_report(
     model: ManifoldModel,
     disc: Discretization,
@@ -204,16 +213,7 @@ def constants_report(
     seed: int = 0,
 ) -> ConstantsReport:
     d = model.dim
-    two_star = sobolev_conjugate(d)
-    if model.kind is ModelKind.SPHERE_RADIAL:
-        a_opt = a_opt_sphere_closed_form(d, q)
-        provenance = "closed-form-sphere"
-    elif abs(q - two_star) < 1e-12:
-        a_opt = a_opt_product_critical(d)
-        provenance = "product-critical"
-    else:
-        a_opt = a_opt_spectral_gap(disc, q)
-        provenance = "spectral-gap"
+    a_opt, provenance = a_opt_default(model, disc, q)
     return ConstantsReport(
         model_kind=model.kind.value,
         d=d,

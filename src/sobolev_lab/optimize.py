@@ -27,6 +27,11 @@ from .discretization import DiscreteFunction, SpectralData
 from .functionals import QuotientSpec
 
 KERNEL_THRESHOLD = 1e-6
+NEWTON_MAX = 60
+# Newton stops once its residual is below FLOOR_FACTOR * eps * ||terms||_W,
+# the rounding floor of the stationarity equation at the current iterate.
+FLOOR_FACTOR = 100.0
+MIN_DAMPING = 1e-6
 
 
 class ThresholdAmbiguityWarning(UserWarning):
@@ -122,13 +127,15 @@ def kernel_basis_at(
     threshold: float = KERNEL_THRESHOLD,
     spectrum: SpectralData | None = None,
 ) -> list:
-    """Tangent eigenfunctions with |eigenvalue| below threshold * spectral scale."""
+    """Tangent eigenfunctions with |eigenvalue| below threshold * spectral scale.
+
+    The scale is the largest magnitude in the bottom tangent spectrum, which
+    does not grow with the resolution the way the operator norm does.
+    """
     if spectrum is None:
         spectrum = hessian_spectrum_at(spec, u, min(spec.disc.n - 1, 12))
-    H = fn.hessian_matrix(spec, u)
-    scale = max(1.0, float(np.linalg.norm(H, 2)))
-    cut = threshold * scale
     lams = np.abs(spectrum.eigenvalues)
+    cut = threshold * max(1.0, float(np.max(lams)))
     if np.any((lams > cut / 10.0) & (lams < cut * 10.0)):
         warnings.warn(
             f"Hessian eigenvalue within 10x of kernel threshold {cut:.3e}",
@@ -138,94 +145,64 @@ def kernel_basis_at(
     return [f for lam, f in zip(spectrum.eigenvalues, spectrum.eigenfunctions) if abs(lam) < cut]
 
 
-def _newton_polish(spec: QuotientSpec, values: np.ndarray, max_iter: int):
-    """Bordered Newton on stationarity + normalization; returns best iterate."""
+def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndarray,
+                     target: np.ndarray, max_iter: int = NEWTON_MAX):
+    """Damped Newton on the bordered system in (u, theta, mu):
+
+        2A(-Delta u) + 2B u - theta |u|^{q-2} u - K mu = 0,
+        int |u|^q dVol = 1,     K^T W u = target,
+
+    with K an n x l block (l = 0 for a plain polish).  Each step is halved
+    until the residual norm drops; iteration stops once the norm is below
+    the rounding floor of the terms of the first equation.  Returns the last
+    u and whether it reached that floor.
+    """
     disc = spec.disc
     qw = disc.quad_weights
     A, B, q = spec.A, spec.B, spec.q
     L = disc.laplace_matrix
-    n = disc.n
+    abs_L = np.abs(L)
+    n, l = disc.n, K.shape[1]
+    KW = K.T * qw[None, :]
 
-    def residual(u, theta):
-        r1 = 2.0 * A * (L @ u) + 2.0 * B * u - theta * fn.power_qm1(u, q)
-        r2 = float(np.sum(qw * np.abs(u) ** q)) - 1.0
-        return r1, r2
+    def residual(x):
+        u, theta, mu = x[:n], x[n], x[n + 1 :]
+        r = np.concatenate([
+            2.0 * A * (L @ u) + 2.0 * B * u - theta * fn.power_qm1(u, q) - K @ mu,
+            [float(np.sum(qw * np.abs(u) ** q)) - 1.0],
+            KW @ u - target,
+        ])
+        return r, math.sqrt(float(qw @ r[:n] ** 2 + r[n:] @ r[n:]))
 
-    u = values.copy()
-    uf = DiscreteFunction(disc, u)
-    theta = 2.0 * fn.quotient(spec, uf)
-    r1, r2 = residual(u, theta)
-    best = (u.copy(), math.hypot(_l2_norm(spec, r1), abs(r2)))
-    for _ in range(max_iter):
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = 2.0 * A * L + 2.0 * B * np.eye(n) - theta * (q - 1.0) * np.diag(
-            np.abs(u) ** (q - 2.0)
-        )
-        J[:n, n] = -fn.power_qm1(u, q)
-        J[n, :n] = q * qw * fn.power_qm1(u, q)
-        rhs = np.concatenate([r1, [r2]])
+    x = np.concatenate([u, [theta], np.zeros(l)])
+    r, norm = residual(x)
+    for it in range(max_iter + 1):
+        au = np.abs(x[:n])
+        terms = 2.0 * A * (abs_L @ au) + 2.0 * B * au + abs(x[n]) * au ** (q - 1.0)
+        floor = FLOOR_FACTOR * np.finfo(float).eps * _l2_norm(spec, terms)
+        if norm <= floor or it == max_iter:
+            break
+        J = np.zeros((n + 1 + l, n + 1 + l))
+        J[:n, :n] = 2.0 * A * L + 2.0 * B * np.eye(n) - x[n] * (q - 1.0) * np.diag(au ** (q - 2.0))
+        J[:n, n] = -fn.power_qm1(x[:n], q)
+        J[:n, n + 1 :] = -K
+        J[n, :n] = q * qw * fn.power_qm1(x[:n], q)
+        J[n + 1 :, :n] = KW
         try:
-            step = np.linalg.solve(J, rhs)
+            step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        u = u - step[:n]
-        theta = theta - step[n]
-        r1, r2 = residual(u, theta)
-        norm = math.hypot(_l2_norm(spec, r1), abs(r2))
-        if not math.isfinite(norm) or norm > 10.0 * best[1]:
+            step, *_ = np.linalg.lstsq(J, r, rcond=None)
+        t = 1.0
+        while True:
+            trial = x - t * step
+            trial_r, trial_norm = residual(trial)
+            if trial_norm < norm or t < MIN_DAMPING:
+                break
+            t *= 0.5
+        if not trial_norm < norm:
             break
-        if norm < best[1]:
-            best = (u.copy(), norm)
-        if norm < 1e-12:
-            break
-    return best[0]
-
-
-def _flat_direction_polish(spec: QuotientSpec, u: DiscreteFunction, opts: MinimizeOptions):
-    """Drive the gradient to zero along near-kernel Hessian directions."""
-    from scipy.optimize import brentq
-
-    disc = spec.disc
-
-    def residual_of(values: np.ndarray) -> tuple[DiscreteFunction, float]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", fn.MixedSignWarning)
-            w = fn.normalize(DiscreteFunction(disc, np.abs(values)), spec.q)
-        return w, _l2_norm(spec, fn.gradient(spec, w).values)
-
-    spectrum = hessian_spectrum_at(spec, u, min(4, disc.n - 1))
-    scale = max(1.0, float(np.max(np.abs(spectrum.eigenvalues))))
-    best_u, best_res = u, _l2_norm(spec, fn.gradient(spec, u).values)
-    for lam, phi in zip(spectrum.eigenvalues, spectrum.eigenfunctions):
-        if abs(lam) > 1e-2 * scale:
-            continue
-
-        def g1(s):
-            w, _ = residual_of(best_u.values + s * phi.values)
-            return float(np.sum(disc.quad_weights * fn.gradient(spec, w).values * phi.values))
-
-        bracket = 1e-3
-        root = None
-        g0 = g1(0.0)
-        for _ in range(10):
-            if g1(bracket) * g0 < 0:
-                root = brentq(g1, 0.0, bracket, xtol=1e-14)
-                break
-            if g1(-bracket) * g0 < 0:
-                root = brentq(g1, -bracket, 0.0, xtol=1e-14)
-                break
-            bracket *= 2.0
-            if bracket > 0.5:
-                break
-        if root is not None:
-            cand, res = residual_of(best_u.values + root * phi.values)
-            if res < best_res:
-                best_u, best_res = cand, res
-    polished = _newton_polish(spec, best_u.values, opts.newton_max)
-    cand, res = residual_of(polished)
-    if res < best_res:
-        best_u, best_res = cand, res
-    return best_u, best_res
+        x, r, norm = trial, trial_r, trial_norm
+    return x[:n], bool(norm <= floor)
 
 
 def minimize(
@@ -268,20 +245,13 @@ def minimize(
             step *= 0.5
         if not accepted:
             break
-    polished = _newton_polish(spec, u.values, opts.newton_max)
+    polished, _ = _bordered_newton(
+        spec, u.values, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), opts.newton_max
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fn.MixedSignWarning)
         u = fn.normalize(DiscreteFunction(disc, polished), spec.q)
-    g = fn.gradient(spec, u).values
-    grad_residual = _l2_norm(spec, g)
-    if grad_residual > opts.grad_tol:
-        # Newton stalls along nearly-flat Hessian directions (quartic
-        # valleys); root-find the projected gradient along each of them
-        # and re-polish.
-        for _ in range(3):
-            u, grad_residual = _flat_direction_polish(spec, u, opts)
-            if grad_residual < opts.grad_tol:
-                break
+    grad_residual = _l2_norm(spec, fn.gradient(spec, u).values)
     qval = fn.quotient(spec, u)
     converged = grad_residual < opts.grad_tol
     k = min(opts.spectrum_size, disc.n - 1)
@@ -337,11 +307,7 @@ def multistart_minimize(
 
 
 def reduced_functional(
-    spec: QuotientSpec,
-    v: CriticalPoint,
-    coords,
-    newton_max: int = 60,
-    tol: float = 1e-11,
+    spec: QuotientSpec, v: CriticalPoint, coords
 ) -> ReducedFunctionalSample:
     """Evaluate the Lyapunov-Schmidt reduced functional at kernel coordinates.
 
@@ -356,51 +322,9 @@ def reduced_functional(
     if coords.shape != (l,):
         raise ValueError(f"expected {l} kernel coordinates, got {coords.shape}")
     disc = spec.disc
-    qw = disc.quad_weights
-    A, B, q = spec.A, spec.B, spec.q
-    L = disc.laplace_matrix
-    n = disc.n
     K = np.column_stack([f.values for f in v.kernel_basis])  # n x l
-
-    u = v.u.values + K @ coords
-    theta = 2.0 * v.value
-    mu = np.zeros(l)
-
-    def residual(u, theta, mu):
-        r1 = 2.0 * A * (L @ u) + 2.0 * B * u - theta * fn.power_qm1(u, q) - K @ mu
-        r2 = K.T @ (qw * (u - v.u.values)) - coords
-        r3 = float(np.sum(qw * np.abs(u) ** q)) - 1.0
-        return r1, r2, r3
-
-    converged = False
-    r1, r2, r3 = residual(u, theta, mu)
-    norm0 = math.hypot(_l2_norm(spec, r1), math.hypot(np.linalg.norm(r2), abs(r3)))
-    best_norm = norm0
-    for _ in range(newton_max):
-        norm = math.hypot(_l2_norm(spec, r1), math.hypot(np.linalg.norm(r2), abs(r3)))
-        if norm < tol:
-            converged = True
-            break
-        if not math.isfinite(norm) or norm > 100.0 * max(best_norm, 1.0):
-            break
-        best_norm = min(best_norm, norm)
-        J = np.zeros((n + 1 + l, n + 1 + l))
-        J[:n, :n] = 2.0 * A * L + 2.0 * B * np.eye(n) - theta * (q - 1.0) * np.diag(
-            np.abs(u) ** (q - 2.0)
-        )
-        J[:n, n] = -fn.power_qm1(u, q)
-        J[:n, n + 1 :] = -K
-        J[n, :n] = q * qw * fn.power_qm1(u, q)
-        J[n + 1 :, :n] = K.T * qw[None, :]
-        rhs = np.concatenate([r1, [r3], r2])
-        try:
-            step = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, rhs, rcond=None)
-        u = u - step[:n]
-        theta = theta - step[n]
-        mu = mu - step[n + 1 :]
-        r1, r2, r3 = residual(u, theta, mu)
+    target = K.T @ (disc.quad_weights * v.u.values) + coords
+    u, converged = _bordered_newton(spec, v.u.values + K @ coords, 2.0 * v.value, K, target)
     uf = DiscreteFunction(disc, u)
     value = fn.quotient(spec, uf) if converged else math.nan
     return ReducedFunctionalSample(

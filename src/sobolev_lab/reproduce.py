@@ -9,6 +9,7 @@ is asymptotic and coarse grids raise the quadrature noise floor).
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 
@@ -89,7 +90,7 @@ def check_bubble_extremality(n: int = 256):
         q=6.0,
         disc=disc,
     )
-    worst = max(abs(st.deficit(spec, st.bubble(disc, 1.0, b))) for b in (0.3, 0.6, 0.9))
+    worst = max(abs(fn.deficit(spec, st.bubble(disc, 1.0, b))) for b in (0.3, 0.6, 0.9))
     return worst < 1e-6, worst, "max |Q(bubble) - 1| over b in {0.3, 0.6, 0.9}"
 
 
@@ -254,7 +255,7 @@ def check_deficit_nonnegativity(n: int = 64, count: int = 10_000, seed: int = 42
         values = phis @ coeffs + 0.01 * rng.standard_normal()
         if not np.any(values):
             continue
-        worst = min(worst, st.deficit(spec, DiscreteFunction(disc, values)))
+        worst = min(worst, fn.deficit(spec, DiscreteFunction(disc, values)))
     return worst >= -1e-8, worst, f"min deficit over {count} seeded functions"
 
 
@@ -273,19 +274,9 @@ CRITERIA = [
     ("deficit_nonnegativity", check_deficit_nonnegativity),
 ]
 
-# cases that accept a resolution override (criterion name -> kwarg)
+# cases that accept a resolution override
 _N_OVERRIDABLE = {
-    "spectral_gap",
-    "constant_consistency",
-    "bubble_extremality",
-    "variation_formulas",
-    "second_variation_cancellation",
-    "sphere_degenerate_slope",
-    "product_degenerate_slope",
-    "nondegenerate_control",
-    "lojasiewicz_consistency",
-    "b_estimator",
-    "deficit_nonnegativity",
+    name for name, check in CRITERIA if "n" in inspect.signature(check).parameters
 }
 
 

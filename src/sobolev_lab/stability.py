@@ -49,11 +49,6 @@ def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
     return DiscreteFunction(disc, vals)
 
 
-def deficit(spec: QuotientSpec, u: DiscreteFunction) -> float:
-    """Sobolev deficit Q(u) - 1 via the cancellation-stable formula."""
-    return fn.deficit(spec, u)
-
-
 def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
     return gradient_norm_sq(disc, u) + inner(disc, u, u)
 
@@ -228,12 +223,12 @@ def ray_scan(spec: QuotientSpec, ray: Ray, family: str = "constants") -> Experim
     )
     if tangency > 1e-10:
         raise ValueError(f"ray direction is not tangent at base (pairing {tangency:.3e})")
-    d0 = abs(deficit(spec, ray.base))
+    d0 = abs(fn.deficit(spec, ray.base))
     floor = NOISE_FLOOR_FACTOR * max(d0, 1e-15)
     rows = []
     for eps in ray.epsilons:
         u = DiscreteFunction(disc, ray.base.values + eps * ray.direction.values)
-        dfc = deficit(spec, u)
+        dfc = fn.deficit(spec, u)
         dst = distance_to_extremals(u, family)
         rows.append(
             {
@@ -319,7 +314,7 @@ def lojasiewicz_estimate(
     return slope
 
 
-def classify(spec: QuotientSpec, model, reports) -> str:
+def classify(reports) -> str:
     """Aggregate fitted exponents into a degeneracy verdict.
 
     `reports` may mix ExperimentReport objects and raw exponent floats.

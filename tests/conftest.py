@@ -41,6 +41,23 @@ def subcritical_spec(sphere3_disc):
 
 
 @pytest.fixture(scope="session")
+def fine_degenerate_point():
+    """(spec, critical point) of the degenerate sphere spec at n = 512, from constants."""
+    from sobolev_lab.discretization import DiscreteFunction
+    from sobolev_lab.optimize import minimize
+
+    model = make_sphere(3)
+    q = 4.0
+    spec = QuotientSpec(
+        A=cst.a_opt_sphere_closed_form(3, q),
+        B=model.total_volume ** (2.0 / q - 1.0),
+        q=q,
+        disc=build(model, 512),
+    )
+    return spec, minimize(spec, DiscreteFunction(spec.disc, np.ones(512)))
+
+
+@pytest.fixture(scope="session")
 def critical_sphere_spec(sphere3_disc):
     """Sphere spec at the critical exponent with the Euclidean constant."""
     return QuotientSpec(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import sobolev_lab
 
 from sobolev_lab.cli import (
     EXIT_CONFIG_ERROR,
@@ -129,3 +134,19 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     ])
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_thread_cap_is_set_before_blas_loads():
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["SOBOLEV_LAB_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(sobolev_lab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sobolev_lab; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "1"

@@ -73,6 +73,20 @@ def test_kernel_empty_off_optimal(sphere3_disc):
     assert opt.kernel_basis_at(spec, c) == []
 
 
+def test_kernel_empty_off_optimal_at_fine_resolution():
+    # the kernel cut must not grow with n: lambda_1 = 0.090 here at every n
+    model = make_sphere(3)
+    disc = build(model, 1024)
+    q = 4.0
+    spec = QuotientSpec(
+        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
+        B=model.total_volume ** (2.0 / q - 1.0),
+        q=q,
+        disc=disc,
+    )
+    assert opt.kernel_basis_at(spec, _constant(disc, q)) == []
+
+
 def test_minimize_from_constant_is_immediate(subcritical_spec):
     cp = opt.minimize(subcritical_spec, DiscreteFunction(
         subcritical_spec.disc, np.ones(subcritical_spec.disc.n)
@@ -170,3 +184,13 @@ def test_reduced_functional_requires_kernel(sphere3_disc):
     cp = opt.minimize(spec, DiscreteFunction(sphere3_disc, np.ones(sphere3_disc.n)))
     with pytest.raises(ValueError):
         opt.reduced_functional(spec, cp, [0.1])
+
+
+def test_reduced_functional_converges_at_fine_resolution(fine_degenerate_point):
+    # the rounding floor of the stationarity residual grows with n
+    spec, cp = fine_degenerate_point
+    assert cp.kernel_dim == 1
+    for t in (0.02, -0.2):
+        sample = opt.reduced_functional(spec, cp, [t])
+        assert sample.inner_converged
+        assert sample.value > cp.value

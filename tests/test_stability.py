@@ -30,7 +30,7 @@ def test_bubble_profile(sphere3_disc):
 def test_bubbles_have_zero_deficit_at_critical_spec(critical_sphere_spec):
     disc = critical_sphere_spec.disc
     for b in (0.2, 0.5, 0.8):
-        assert abs(st.deficit(critical_sphere_spec, st.bubble(disc, 1.0, b))) < 1e-10
+        assert abs(fn.deficit(critical_sphere_spec, st.bubble(disc, 1.0, b))) < 1e-10
 
 
 def test_distance_to_constants_closed_form(sphere3_disc):
@@ -158,6 +158,11 @@ def test_lojasiewicz_estimate_quartic(subcritical_spec):
     assert est == pytest.approx(4.0, abs=0.1)
 
 
+def test_lojasiewicz_estimate_quartic_at_fine_resolution(fine_degenerate_point):
+    spec, cp = fine_degenerate_point
+    assert abs(st.lojasiewicz_estimate(spec, cp) - 4.0) < 0.1
+
+
 def test_lojasiewicz_validates_direction(subcritical_spec):
     cp = opt.minimize(subcritical_spec, DiscreteFunction(
         subcritical_spec.disc, np.ones(subcritical_spec.disc.n)
@@ -166,9 +171,9 @@ def test_lojasiewicz_validates_direction(subcritical_spec):
         st.lojasiewicz_estimate(subcritical_spec, cp, direction=5)
 
 
-def test_classify_aggregation(subcritical_spec, sphere3):
-    assert st.classify(subcritical_spec, sphere3, [4.0, 3.9]) == "degenerate"
-    assert st.classify(subcritical_spec, sphere3, [2.0, 2.1]) == "nondegenerate"
-    assert st.classify(subcritical_spec, sphere3, [2.0, 4.0]) == "inconclusive"
-    assert st.classify(subcritical_spec, sphere3, [math.nan]) == "inconclusive"
-    assert st.classify(subcritical_spec, sphere3, []) == "inconclusive"
+def test_classify_aggregation():
+    assert st.classify([4.0, 3.9]) == "degenerate"
+    assert st.classify([2.0, 2.1]) == "nondegenerate"
+    assert st.classify([2.0, 4.0]) == "inconclusive"
+    assert st.classify([math.nan]) == "inconclusive"
+    assert st.classify([]) == "inconclusive"
