@@ -45,7 +45,6 @@ from .constants import (
 )
 from .optimize import (
     CriticalPoint,
-    MinimizeOptions,
     ReducedFunctionalSample,
     certify,
     hessian_spectrum_at,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -157,7 +157,7 @@ class ConstantsReport:
     B_lower: float
     B_opt_estimate: float
     strict_binding: bool
-    extras: dict = field(default_factory=dict)
+    spectral_gap: float
 
     def __post_init__(self):
         if self.S_d <= 0:
@@ -176,8 +176,8 @@ class ConstantsReport:
             "B_lower": self.B_lower,
             "B_opt_estimate": self.B_opt_estimate,
             "strict_binding": self.strict_binding,
+            "spectral_gap": self.spectral_gap,
         }
-        payload.update(self.extras)
         return json.dumps(payload, indent=2)
 
     def to_table(self) -> str:
@@ -225,5 +225,5 @@ def constants_report(
         B_lower=b_lower_bound(model),
         B_opt_estimate=estimate_b_opt(model, disc, budget=b_budget, seed=seed),
         strict_binding=check_strict_binding(d),
-        extras={"spectral_gap": spectral_gap(disc)},
+        spectral_gap=spectral_gap(disc),
     )

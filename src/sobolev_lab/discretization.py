@@ -15,8 +15,6 @@ differentiation; there -Delta f = -f''.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -94,30 +92,6 @@ class DiscreteFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite function values")
-
-    @staticmethod
-    def from_callable(disc: Discretization, f) -> "DiscreteFunction":
-        return DiscreteFunction(disc, np.asarray(f(disc.nodes), dtype=float))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["node", "value"])
-        for t, v in zip(self.nodes_repr(), self.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
-        return buf.getvalue()
-
-    def nodes_repr(self):
-        return self.disc.nodes
-
-    def to_json(self) -> str:
-        return json.dumps({"nodes": self.disc.nodes.tolist(), "values": self.values.tolist()})
-
-    @staticmethod
-    def from_csv(disc: Discretization, text: str) -> "DiscreteFunction":
-        rows = list(csv.reader(io.StringIO(text)))
-        values = np.array([float(r[1]) for r in rows[1:]])
-        return DiscreteFunction(disc, values)
 
 
 @dataclass

@@ -11,7 +11,6 @@ Two models are supported:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -50,26 +49,6 @@ class ManifoldModel:
         if self.kind is ModelKind.SPHERE_RADIAL:
             return unit_sphere_volume(self.dim - 1) * np.sin(t) ** (self.dim - 1)
         return np.full_like(t, unit_sphere_volume(self.dim - 1))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "dim": self.dim,
-                "length": self.length,
-                "boundary": "periodic" if self.periodic else "weight-vanishing-ends",
-                "total_volume": self.total_volume,
-                "scalar_curvature": self.scalar_curvature,
-            }
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "ManifoldModel":
-        obj = json.loads(s)
-        kind = ModelKind(obj["kind"])
-        if kind is ModelKind.SPHERE_RADIAL:
-            return make_sphere(obj["dim"])
-        return make_product(obj["dim"])
 
 
 def _check_dim(d: int) -> None:

@@ -17,17 +17,26 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import functionals as fn
-from .discretization import DiscreteFunction, SpectralData
+from .discretization import DiscreteFunction, SpectralData, laplace_eigenpairs
 from .functionals import QuotientSpec
+from .geometry import ModelKind
 
 KERNEL_THRESHOLD = 1e-6
 NEWTON_MAX = 60
+# minimize: projected-gradient iterations, the gradient residual at which the
+# Newton polish takes over, the polish's Newton steps, the residual that counts
+# as converged, and the number of tangent Hessian eigenpairs reported.
+MAX_ITER = 400
+SWITCH_TOL = 1e-4
+POLISH_NEWTON_MAX = 40
+GRAD_TOL = 1e-8
+SPECTRUM_SIZE = 8
 # Newton stops once its residual is below FLOOR_FACTOR * eps * ||terms||_W,
 # the rounding floor of the stationarity equation at the current iterate.
 FLOOR_FACTOR = 100.0
@@ -36,16 +45,6 @@ MIN_DAMPING = 1e-6
 
 class ThresholdAmbiguityWarning(UserWarning):
     """A Hessian eigenvalue sits near the kernel threshold."""
-
-
-@dataclass
-class MinimizeOptions:
-    max_iter: int = 400
-    grad_tol: float = 1e-8
-    switch_tol: float = 1e-4  # gradient residual at which Newton polish starts
-    newton_max: int = 40
-    spectrum_size: int = 8
-    kernel_threshold: float = KERNEL_THRESHOLD
 
 
 @dataclass
@@ -81,8 +80,8 @@ class ReducedFunctionalSample:
     inner_converged: bool
 
 
-def certify(spec: QuotientSpec, u: DiscreteFunction, tol: float = 1e-8) -> float:
-    """Max-norm residual of the criticality identity; <= tol means certified."""
+def certify(spec: QuotientSpec, u: DiscreteFunction) -> float:
+    """Max-norm residual of the criticality identity A(-Delta u) + B u - Q u^{q-1}."""
     fn.check_normalized(spec, u)
     qv = fn.quotient(spec, u)
     rho = (
@@ -122,12 +121,9 @@ def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> Spec
 
 
 def kernel_basis_at(
-    spec: QuotientSpec,
-    u: DiscreteFunction,
-    threshold: float = KERNEL_THRESHOLD,
-    spectrum: SpectralData | None = None,
+    spec: QuotientSpec, u: DiscreteFunction, spectrum: SpectralData | None = None
 ) -> list:
-    """Tangent eigenfunctions with |eigenvalue| below threshold * spectral scale.
+    """Tangent eigenfunctions with |eigenvalue| below KERNEL_THRESHOLD * spectral scale.
 
     The scale is the largest magnitude in the bottom tangent spectrum, which
     does not grow with the resolution the way the operator norm does.
@@ -135,7 +131,7 @@ def kernel_basis_at(
     if spectrum is None:
         spectrum = hessian_spectrum_at(spec, u, min(spec.disc.n - 1, 12))
     lams = np.abs(spectrum.eigenvalues)
-    cut = threshold * max(1.0, float(np.max(lams)))
+    cut = KERNEL_THRESHOLD * max(1.0, float(np.max(lams)))
     if np.any((lams > cut / 10.0) & (lams < cut * 10.0)):
         warnings.warn(
             f"Hessian eigenvalue within 10x of kernel threshold {cut:.3e}",
@@ -205,13 +201,8 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
     return x[:n], bool(norm <= floor)
 
 
-def minimize(
-    spec: QuotientSpec,
-    init: DiscreteFunction,
-    opts: MinimizeOptions | None = None,
-) -> CriticalPoint:
+def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
     """Minimize the quotient over the unit L^q sphere from a given start."""
-    opts = opts or MinimizeOptions()
     disc = spec.disc
     if not np.any(init.values):
         raise ValueError("initial guess is identically zero")
@@ -222,10 +213,10 @@ def minimize(
     qval = fn.quotient(spec, u)
     step = 1.0
     iterations = 0
-    while iterations < opts.max_iter:
+    while iterations < MAX_ITER:
         g = fn.gradient(spec, u).values
         res = _l2_norm(spec, g)
-        if res < opts.switch_tol:
+        if res < SWITCH_TOL:
             break
         iterations += 1
         p = lu_solve(M_fact, g)
@@ -246,19 +237,19 @@ def minimize(
         if not accepted:
             break
     polished, _ = _bordered_newton(
-        spec, u.values, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), opts.newton_max
+        spec, u.values, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), POLISH_NEWTON_MAX
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fn.MixedSignWarning)
         u = fn.normalize(DiscreteFunction(disc, polished), spec.q)
     grad_residual = _l2_norm(spec, fn.gradient(spec, u).values)
     qval = fn.quotient(spec, u)
-    converged = grad_residual < opts.grad_tol
-    k = min(opts.spectrum_size, disc.n - 1)
+    converged = grad_residual < GRAD_TOL
+    k = min(SPECTRUM_SIZE, disc.n - 1)
     spectrum = hessian_spectrum_at(spec, u, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ThresholdAmbiguityWarning)
-        kernel = kernel_basis_at(spec, u, opts.kernel_threshold, spectrum)
+        kernel = kernel_basis_at(spec, u, spectrum)
     return CriticalPoint(
         u=u,
         value=qval,
@@ -271,18 +262,13 @@ def minimize(
     )
 
 
-def multistart_minimize(
-    spec: QuotientSpec, seed: int = 0, opts: MinimizeOptions | None = None, extra_starts: int = 2
-) -> CriticalPoint:
+def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2) -> CriticalPoint:
     """Run minimize from the documented start family and keep the best result.
 
     Starts: constants, +/- first-eigenfunction perturbations, bubbles on the
     sphere, and seeded random smooth fields.  Best certified value wins, ties
     broken by lower gradient residual.
     """
-    from .discretization import laplace_eigenpairs
-    from .geometry import ModelKind
-
     disc = spec.disc
     const = np.ones(disc.n)
     spec_data = laplace_eigenpairs(disc, min(6, disc.n))
@@ -300,7 +286,7 @@ def multistart_minimize(
         starts.append(const + phis @ coeffs)
     best = None
     for s in starts:
-        cp = minimize(spec, DiscreteFunction(disc, s), opts)
+        cp = minimize(spec, DiscreteFunction(disc, s))
         if best is None or (cp.value, cp.grad_residual) < (best.value, best.grad_residual):
             best = cp
     return best

@@ -101,23 +101,18 @@ def _fd_quotient(spec, u_values, phi_values, eps):
 
 def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
     worst_g, worst_h = 0.0, 0.0
-    cases = [
-        (_sphere_subcritical_spec(n, 3, 4.0), None),
-    ]
     model_p = make_product(4)
     disc_p = build(model_p, n if n % 2 == 0 else n + 1)
-    cases.append(
-        (
-            QuotientSpec(
-                A=cst.a_opt_spectral_gap(disc_p, 3.5),
-                B=model_p.total_volume ** (2.0 / 3.5 - 1.0),
-                q=3.5,
-                disc=disc_p,
-            ),
-            None,
-        )
-    )
-    for spec, _ in cases:
+    specs = [
+        _sphere_subcritical_spec(n, 3, 4.0),
+        QuotientSpec(
+            A=cst.a_opt_spectral_gap(disc_p, 3.5),
+            B=model_p.total_volume ** (2.0 / 3.5 - 1.0),
+            q=3.5,
+            disc=disc_p,
+        ),
+    ]
+    for spec in specs:
         disc = spec.disc
         sd = laplace_eigenpairs(disc, 8)
         phis = np.column_stack([f.values for f in sd.eigenfunctions])

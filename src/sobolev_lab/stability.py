@@ -25,7 +25,6 @@ from .discretization import (
     gradient_norm_sq,
     inner,
     laplace_eigenpairs,
-    lp_norm,
 )
 from .functionals import QuotientSpec
 from .geometry import ModelKind
@@ -34,6 +33,7 @@ from .optimize import CriticalPoint, reduced_functional
 EXTREMAL_FAMILIES = ("constants", "constants_and_scalings", "bubbles_and_constants")
 NOISE_FLOOR_FACTOR = 100.0
 CLASSIFY_MARGIN = 0.5
+LOJASIEWICZ_SAMPLING = np.geomspace(0.02, 0.2, 10)
 
 
 def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
@@ -114,7 +114,6 @@ class Ray:
     base: DiscreteFunction  # normalized extremal
     direction: DiscreteFunction  # tangent, unit W^{1,2}
     epsilons: np.ndarray
-    signed: bool = False
 
     def __post_init__(self):
         self.epsilons = np.asarray(self.epsilons, dtype=float)
@@ -192,14 +191,6 @@ class ExperimentReport:
             )
         return buf.getvalue()
 
-    def plot_data(self) -> str:
-        lines = [
-            f"{math.log(r['distance'])!r} {math.log(r['deficit'])!r}"
-            for r in self.rows
-            if r["in_fit_window"] and r["deficit"] > 0
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def _classify_slope(slope: float) -> str:
     if math.isnan(slope):
@@ -243,22 +234,17 @@ def ray_scan(spec: QuotientSpec, ray: Ray, family: str = "constants") -> Experim
     if len(window) < 5:
         for r in rows:
             r["in_fit_window"] = False
-        return ExperimentReport(
-            rows=rows,
-            fitted_slope=math.nan,
-            slope_stderr=math.nan,
-            fit_window=(math.nan, math.nan),
-            classification="inconclusive",
-            metadata=_scan_metadata(spec, family, floor),
-        )
-    x = np.array([r["distance"] for r in window])
-    y = np.array([r["deficit"] for r in window])
-    slope, stderr = fit_loglog(x, y)
+        slope, stderr, fit_window = math.nan, math.nan, (math.nan, math.nan)
+    else:
+        x = np.array([r["distance"] for r in window])
+        y = np.array([r["deficit"] for r in window])
+        slope, stderr = fit_loglog(x, y)
+        fit_window = (window[0]["epsilon"], window[-1]["epsilon"])
     return ExperimentReport(
         rows=rows,
         fitted_slope=slope,
         slope_stderr=stderr,
-        fit_window=(window[0]["epsilon"], window[-1]["epsilon"]),
+        fit_window=fit_window,
         classification=_classify_slope(slope),
         metadata=_scan_metadata(spec, family, floor),
     )
@@ -278,26 +264,19 @@ def _scan_metadata(spec: QuotientSpec, family: str, floor: float) -> dict:
     }
 
 
-def lojasiewicz_estimate(
-    spec: QuotientSpec,
-    v: CriticalPoint,
-    sampling: np.ndarray | None = None,
-    direction: int = 0,
-) -> float:
+def lojasiewicz_estimate(spec: QuotientSpec, v: CriticalPoint, direction: int = 0) -> float:
     """Empirical Lojasiewicz exponent 2 + gamma through the reduced functional.
 
-    Samples the reduced functional at +/-t along one kernel direction and
-    fits log(q(t) - q(0)) against log t.  Returns NaN when fewer than five
-    samples converge.
+    Samples the reduced functional at +/-t, t in LOJASIEWICZ_SAMPLING, along
+    one kernel direction and fits log(q(t) - q(0)) against log t.  Returns
+    NaN when fewer than five samples converge.
     """
     if v.kernel_dim < 1:
         raise ValueError("critical point has no kernel; Lojasiewicz reduction not applicable")
     if not 0 <= direction < v.kernel_dim:
         raise ValueError(f"direction must be in [0, {v.kernel_dim}), got {direction}")
-    if sampling is None:
-        sampling = np.geomspace(0.02, 0.2, 10)
     ts, gaps = [], []
-    for t in np.asarray(sampling, dtype=float):
+    for t in LOJASIEWICZ_SAMPLING:
         for sign in (+1.0, -1.0):
             coords = np.zeros(v.kernel_dim)
             coords[direction] = sign * t

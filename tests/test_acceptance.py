@@ -1,84 +1,90 @@
 """Acceptance gate: every headline criterion at its stated tolerance.
 
-Each test delegates to the corresponding reproduction-suite check so the
-CLI `reproduce` command and this file can never drift apart.
+The reproduction suite runs once per session, exactly as the CLI
+`reproduce` command runs it; each test asserts its own criterion from that
+run, so the command and this file can never drift apart.
 """
+
+import time
 
 import pytest
 
 from sobolev_lab import reproduce as rep
 
 
-def _run(name):
-    check = dict(rep.CRITERIA)[name]
-    result = rep._case(name, check)
-    assert result["passed"], f"{name}: {result['detail']}"
-    return result
-
-
-def test_spectral_gap_matches_dimension():
-    # second Laplace eigenvalue equals d on S^d for d in {3, 4, 5}, rel < 1e-8
-    _run("spectral_gap")
-
-
-def test_spectral_gap_constant_agrees_with_closed_form():
-    # (q-2)/lambda route vs closed form on the sphere, rel < 1e-10
-    _run("constant_consistency")
-
-
-def test_strict_binding_holds_for_d_3_to_10():
-    _run("strict_binding")
-
-
-def test_bubbles_are_extremal_at_the_critical_spec():
-    # |Q(bubble) - 1| < 1e-6 for b in {0.3, 0.6, 0.9}
-    _run("bubble_extremality")
-
-
-def test_variation_formulas_match_finite_differences():
-    # 50 seeded triples per model; gradient rel < 1e-5, Hessian rel < 1e-4
-    _run("variation_formulas")
-
-
-def test_flat_mode_at_the_optimal_constant():
-    # first tangent Hessian eigenvalue < 1e-8, second > 1e-2
-    _run("second_variation_cancellation")
-
-
-def test_sphere_subcritical_quartic_slope():
-    # log-log deficit/distance slope 4.00 +/- 0.05
-    _run("sphere_degenerate_slope")
-
-
-def test_product_critical_quartic_slope():
-    _run("product_degenerate_slope")
-
-
-def test_inflated_constant_quadratic_control():
-    # slope 2.00 +/- 0.05 and empty Hessian kernel at the minimizer
-    _run("nondegenerate_control")
-
-
-def test_lojasiewicz_exponent_is_four():
-    # reduced-functional exponent 4.0 +/- 0.1
-    _run("lojasiewicz_consistency")
-
-
-def test_b_estimator_lower_bounds_beta():
-    # estimates >= beta - 1e-10 on both models; attains beta on S^3 to 1e-6
-    _run("b_estimator")
-
-
-def test_random_deficits_are_nonnegative():
-    # 10^4 seeded functions, deficit >= -1e-8
-    _run("deficit_nonnegativity")
-
-
-def test_suite_runtime_budget():
-    import time
-
+@pytest.fixture(scope="session")
+def suite():
+    """(results by criterion name, elapsed seconds) of one full suite run."""
     t0 = time.perf_counter()
     results = rep.run_suite()
-    elapsed = time.perf_counter() - t0
+    return {r["name"]: r for r in results}, time.perf_counter() - t0
+
+
+def _run(suite, name):
+    result = suite[0][name]
+    assert result["passed"], f"{name}: {result['detail']}"
+
+
+def test_spectral_gap_matches_dimension(suite):
+    # second Laplace eigenvalue equals d on S^d for d in {3, 4, 5}, rel < 1e-8
+    _run(suite, "spectral_gap")
+
+
+def test_spectral_gap_constant_agrees_with_closed_form(suite):
+    # (q-2)/lambda route vs closed form on the sphere, rel < 1e-10
+    _run(suite, "constant_consistency")
+
+
+def test_strict_binding_holds_for_d_3_to_10(suite):
+    _run(suite, "strict_binding")
+
+
+def test_bubbles_are_extremal_at_the_critical_spec(suite):
+    # |Q(bubble) - 1| < 1e-6 for b in {0.3, 0.6, 0.9}
+    _run(suite, "bubble_extremality")
+
+
+def test_variation_formulas_match_finite_differences(suite):
+    # 50 seeded triples per model; gradient rel < 1e-5, Hessian rel < 1e-4
+    _run(suite, "variation_formulas")
+
+
+def test_flat_mode_at_the_optimal_constant(suite):
+    # first tangent Hessian eigenvalue < 1e-8, second > 1e-2
+    _run(suite, "second_variation_cancellation")
+
+
+def test_sphere_subcritical_quartic_slope(suite):
+    # log-log deficit/distance slope 4.00 +/- 0.05
+    _run(suite, "sphere_degenerate_slope")
+
+
+def test_product_critical_quartic_slope(suite):
+    _run(suite, "product_degenerate_slope")
+
+
+def test_inflated_constant_quadratic_control(suite):
+    # slope 2.00 +/- 0.05 and empty Hessian kernel at the minimizer
+    _run(suite, "nondegenerate_control")
+
+
+def test_lojasiewicz_exponent_is_four(suite):
+    # reduced-functional exponent 4.0 +/- 0.1
+    _run(suite, "lojasiewicz_consistency")
+
+
+def test_b_estimator_lower_bounds_beta(suite):
+    # estimates >= beta - 1e-10 on both models; attains beta on S^3 to 1e-6
+    _run(suite, "b_estimator")
+
+
+def test_random_deficits_are_nonnegative(suite):
+    # 10^4 seeded functions, deficit >= -1e-8
+    _run(suite, "deficit_nonnegativity")
+
+
+def test_suite_runtime_budget(suite):
+    by_name, elapsed = suite
+    results = list(by_name.values())
     assert all(r["passed"] for r in results), rep.format_table(results)
     assert elapsed < 600.0, f"reproduction suite took {elapsed:.0f}s"

@@ -29,6 +29,20 @@ def test_constants_writes_report(tmp_path):
     assert payload["strict_binding"] is True
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["constants", "--n", "64", "--b-budget", "1"],
+     ["schema_version", "model", "d", "q", "S_d", "beta", "A_opt", "A_opt_provenance",
+      "B_lower", "B_opt_estimate", "strict_binding", "spectral_gap", "config"]),
+    (["spectrum", "--n", "64"],
+     ["eigenvalues", "residuals", "schema_version", "config"]),
+], ids=["constants", "spectrum"])
+def test_report_key_order(tmp_path, argv, keys):
+    # the report schema: every key, in order
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert list(json.loads(out.read_text())) == keys
+
+
 def test_config_file_layering(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "sphere", "d": 4, "n": 64, "k": 3}))

@@ -131,12 +131,6 @@ def test_discrete_function_validation(sphere3_disc):
         DiscreteFunction(sphere3_disc, bad)
 
 
-def test_function_csv_round_trip(sphere3_disc):
-    f = DiscreteFunction.from_callable(sphere3_disc, np.cos)
-    g = DiscreteFunction.from_csv(sphere3_disc, f.to_csv())
-    assert np.array_equal(f.values, g.values)
-
-
 def test_convergence_with_resolution(sphere3):
     # spectral accuracy: the k = 3 eigenvalue error collapses fast in n
     errs = []

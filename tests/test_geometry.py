@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from sobolev_lab.geometry import (
     MAX_DIM,
-    ManifoldModel,
     ModelKind,
     make_product,
     make_sphere,
@@ -83,14 +81,3 @@ def test_dimension_limits(bad):
         make_sphere(bad)
     with pytest.raises(ValueError):
         make_product(bad)
-
-
-@pytest.mark.parametrize("factory", [make_sphere, make_product])
-def test_json_round_trip(factory):
-    m = factory(5)
-    m2 = ManifoldModel.from_json(m.to_json())
-    assert m2 == m
-    # the weight is reconstructed from (kind, dim), never serialized pointwise
-    payload = json.loads(m.to_json())
-    assert "weight" not in payload
-    assert payload["boundary"] in ("periodic", "weight-vanishing-ends")

@@ -109,10 +109,6 @@ def test_ray_scan_degenerate_slope_and_report(subcritical_spec):
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "epsilon,deficit,distance,q_value,in_fit_window"
     assert len(csv_text.splitlines()) == 26
-    # plot data only contains fit-window points
-    assert len(rep.plot_data().strip().splitlines()) == sum(
-        r["in_fit_window"] for r in rep.rows
-    )
 
 
 def test_ray_scan_nondegenerate_control(sphere3_disc):
