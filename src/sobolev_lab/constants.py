@@ -65,12 +65,6 @@ def a_opt_product_critical(d: int) -> float:
     return 4.0 / (d - 2.0) ** 2 * model.total_volume ** (-2.0 / d)
 
 
-def yamabe_constant_product(d: int) -> float:
-    """(d-2)^2/4 * Vol^{2/d} for the product model."""
-    model = make_product(d)
-    return (d - 2.0) ** 2 / 4.0 * model.total_volume ** (2.0 / d)
-
-
 def check_strict_binding(d: int) -> bool:
     """True iff S_d^2 < A_opt at the critical exponent on the product model."""
     if d < 3:

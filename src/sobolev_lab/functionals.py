@@ -132,23 +132,29 @@ def project_tangent(
     return DiscreteFunction(spec.disc, phi.values - coef * u.values)
 
 
-def _adjoint_project(spec: QuotientSpec, u: DiscreteFunction, psi: np.ndarray) -> np.ndarray:
-    # adjoint of the tangent projection: psi - <u, psi> u^{q-1}
-    uq1 = power_qm1(u.values, spec.q)
-    coef = float(np.sum(spec.disc.quad_weights * u.values * psi))
-    return psi - coef * uq1
+def euler_lagrange(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
+    """Euler-Lagrange field F = 2A(-Delta u) + 2B u - theta |u|^{q-2} u."""
+    F = 2.0 * spec.A * (spec.disc.laplace_matrix @ u) + 2.0 * spec.B * u
+    if theta:
+        F = F - theta * power_qm1(u, spec.q)
+    return F
 
 
-def euler_lagrange_field(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
-    """Unprojected L^2 field 2A(-Delta u) + 2B u."""
-    return 2.0 * spec.A * (spec.disc.laplace_matrix @ u.values) + 2.0 * spec.B * u.values
+def euler_lagrange_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
+    """Jacobian J = 2A(-Delta) + 2B - theta (q-1) diag(|u|^{q-2}) of the field in u."""
+    J = 2.0 * spec.A * spec.disc.laplace_matrix + 2.0 * spec.B * np.eye(spec.disc.n)
+    if theta:
+        J -= theta * (spec.q - 1.0) * np.diag(power_qm2(u, spec.q))
+    return J
 
 
 def gradient(spec: QuotientSpec, u: DiscreteFunction) -> DiscreteFunction:
     """L^2-Riesz representative of the constrained first variation at u."""
     check_normalized(spec, u)
-    g = _adjoint_project(spec, u, euler_lagrange_field(spec, u))
-    return DiscreteFunction(spec.disc, g)
+    # adjoint of the tangent projection applied to F(u, 0): F - <u, F> u^{q-1}
+    F = euler_lagrange(spec, u.values, 0.0)
+    coef = float(np.sum(spec.disc.quad_weights * u.values * F))
+    return DiscreteFunction(spec.disc, F - coef * power_qm1(u.values, spec.q))
 
 
 def hessian_form(
@@ -180,13 +186,7 @@ def hessian_matrix(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     check_normalized(spec, u)
     disc = spec.disc
     qw = disc.quad_weights
-    W = np.diag(qw)
-    qv = quotient(spec, u)
-    S = (
-        2.0 * spec.A * (qw[:, None] * disc.laplace_matrix)
-        + 2.0 * spec.B * W
-        - 2.0 * (spec.q - 1.0) * qv * np.diag(qw * power_qm2(u.values, spec.q))
-    )
+    S = qw[:, None] * euler_lagrange_jacobian(spec, u.values, 2.0 * quotient(spec, u))
     uq1 = power_qm1(u.values, spec.q)
     P = np.eye(disc.n) - np.outer(u.values, qw * uq1)
     H = P.T @ (0.5 * (S + S.T)) @ P

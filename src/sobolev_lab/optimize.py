@@ -83,13 +83,8 @@ class ReducedFunctionalSample:
 def certify(spec: QuotientSpec, u: DiscreteFunction) -> float:
     """Max-norm residual of the criticality identity A(-Delta u) + B u - Q u^{q-1}."""
     fn.check_normalized(spec, u)
-    qv = fn.quotient(spec, u)
-    rho = (
-        spec.A * (spec.disc.laplace_matrix @ u.values)
-        + spec.B * u.values
-        - qv * fn.power_qm1(u.values, spec.q)
-    )
-    return float(np.max(np.abs(rho)))
+    F = fn.euler_lagrange(spec, u.values, 2.0 * fn.quotient(spec, u))
+    return 0.5 * float(np.max(np.abs(F)))
 
 
 def _l2_norm(spec: QuotientSpec, values: np.ndarray) -> float:
@@ -156,15 +151,14 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
     disc = spec.disc
     qw = disc.quad_weights
     A, B, q = spec.A, spec.B, spec.q
-    L = disc.laplace_matrix
-    abs_L = np.abs(L)
+    abs_L = np.abs(disc.laplace_matrix)
     n, l = disc.n, K.shape[1]
     KW = K.T * qw[None, :]
 
     def residual(x):
         u, theta, mu = x[:n], x[n], x[n + 1 :]
         r = np.concatenate([
-            2.0 * A * (L @ u) + 2.0 * B * u - theta * fn.power_qm1(u, q) - K @ mu,
+            fn.euler_lagrange(spec, u, theta) - K @ mu,
             [float(np.sum(qw * np.abs(u) ** q)) - 1.0],
             KW @ u - target,
         ])
@@ -179,7 +173,7 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
         if norm <= floor or it == max_iter:
             break
         J = np.zeros((n + 1 + l, n + 1 + l))
-        J[:n, :n] = 2.0 * A * L + 2.0 * B * np.eye(n) - x[n] * (q - 1.0) * np.diag(au ** (q - 2.0))
+        J[:n, :n] = fn.euler_lagrange_jacobian(spec, x[:n], x[n])
         J[:n, n] = -fn.power_qm1(x[:n], q)
         J[:n, n + 1 :] = -K
         J[n, :n] = q * qw * fn.power_qm1(x[:n], q)
@@ -207,9 +201,8 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
     if not np.any(init.values):
         raise ValueError("initial guess is identically zero")
     u = fn.normalize(DiscreteFunction(disc, np.abs(init.values)), spec.q)
-    # W^{1,2}-type preconditioner for the L^2 gradient
-    M = 2.0 * spec.A * disc.laplace_matrix + 2.0 * spec.B * np.eye(disc.n)
-    M_fact = lu_factor(M)
+    # W^{1,2}-type preconditioner for the L^2 gradient: the Jacobian at theta = 0
+    M_fact = lu_factor(fn.euler_lagrange_jacobian(spec, u.values, 0.0))
     qval = fn.quotient(spec, u)
     step = 1.0
     iterations = 0

@@ -30,7 +30,7 @@ from .functionals import QuotientSpec
 from .geometry import ModelKind
 from .optimize import CriticalPoint, reduced_functional
 
-EXTREMAL_FAMILIES = ("constants", "constants_and_scalings", "bubbles_and_constants")
+EXTREMAL_FAMILIES = ("constants", "bubbles_and_constants")
 NOISE_FLOOR_FACTOR = 100.0
 CLASSIFY_MARGIN = 0.5
 LOJASIEWICZ_SAMPLING = np.geomspace(0.02, 0.2, 10)
@@ -64,11 +64,13 @@ def _distance_to_constants(disc: Discretization, u: DiscreteFunction) -> float:
 def _distance_to_bubbles(disc: Discretization, u: DiscreteFunction) -> float:
     # W^{1,2} least squares: closed form in a for fixed b, golden section in b
     norm_u = math.sqrt(w12_norm_sq(disc, u))
+    du = disc.diff_matrix @ u.values
 
     def dist_at(b: float) -> float:
         g = bubble(disc, 1.0, b)
         gg = w12_norm_sq(disc, g)
-        ug = gradient_norm_sq_pair(disc, u, g) + inner(disc, u, g)
+        dg = disc.diff_matrix @ g.values
+        ug = float(np.sum(disc.quad_weights * du * dg)) + inner(disc, u, g)
         a = ug / gg
         diff = DiscreteFunction(disc, u.values - a * g.values)
         return math.sqrt(max(w12_norm_sq(disc, diff), 0.0)) / norm_u
@@ -90,12 +92,6 @@ def _distance_to_bubbles(disc: Discretization, u: DiscreteFunction) -> float:
     return min(f1, f2)
 
 
-def gradient_norm_sq_pair(disc: Discretization, f: DiscreteFunction, g: DiscreteFunction) -> float:
-    df = disc.diff_matrix @ f.values
-    dg = disc.diff_matrix @ g.values
-    return float(np.sum(disc.quad_weights * df * dg))
-
-
 def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
     """Normalized W^{1,2} distance to the chosen extremal family."""
     if not np.any(u.values):
@@ -104,7 +100,7 @@ def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
         raise ValueError(f"unknown family {family!r}; expected one of {EXTREMAL_FAMILIES}")
     disc = u.disc
     d_const = _distance_to_constants(disc, u)
-    if family in ("constants", "constants_and_scalings"):
+    if family == "constants":
         return d_const
     return min(d_const, _distance_to_bubbles(disc, u))
 
@@ -293,17 +289,8 @@ def lojasiewicz_estimate(spec: QuotientSpec, v: CriticalPoint, direction: int = 
     return slope
 
 
-def classify(reports) -> str:
-    """Aggregate fitted exponents into a degeneracy verdict.
-
-    `reports` may mix ExperimentReport objects and raw exponent floats.
-    """
-    exponents = []
-    for r in reports:
-        if isinstance(r, ExperimentReport):
-            exponents.append(r.fitted_slope)
-        else:
-            exponents.append(float(r))
+def classify(exponents) -> str:
+    """Aggregate fitted exponents into a degeneracy verdict."""
     exponents = [e for e in exponents if not math.isnan(e)]
     if not exponents:
         return "inconclusive"

@@ -4,8 +4,7 @@ import math
 import pytest
 
 from sobolev_lab import constants as cst
-from sobolev_lab.discretization import build
-from sobolev_lab.geometry import make_product, make_sphere, unit_sphere_volume
+from sobolev_lab.geometry import make_product
 
 
 def test_euclidean_constant_oracle():
@@ -48,14 +47,6 @@ def test_a_opt_product_critical_oracle():
     # d = 4: 4/(d-2)^2 * Vol^{-2/d} = Vol^{-1/2}
     vol = make_product(4).total_volume
     assert cst.a_opt_product_critical(4) == pytest.approx(vol**-0.5, rel=1e-14)
-
-
-def test_yamabe_reciprocal_relation():
-    # A_opt(M*) * Y(M*) = 1 by construction
-    for d in (3, 4, 6, 10):
-        assert cst.a_opt_product_critical(d) * cst.yamabe_constant_product(
-            d
-        ) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_strict_binding_all_dimensions():

@@ -13,7 +13,7 @@ from sobolev_lab.discretization import (
     laplace_eigenpairs,
     lp_norm,
 )
-from sobolev_lab.geometry import make_product, make_sphere
+from sobolev_lab.geometry import make_sphere
 
 
 def test_quadrature_total_mass(sphere3_disc, product4_disc):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +176,24 @@ def test_hessian_matrix_matches_form(subcritical_spec, rng):
         spec, u, DiscreteFunction(disc, phi), DiscreteFunction(disc, eta)
     )
     assert quad == pytest.approx(form, rel=1e-9, abs=1e-11)
+
+
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+def test_euler_lagrange_jacobian_matches_finite_difference(spec_name, request, rng):
+    spec = request.getfixturevalue(spec_name)
+    sample = _normalized_sample(spec, rng)
+    u = sample.values
+    theta = 2.0 * fn.quotient(spec, sample)
+    # smooth direction from low Laplace modes, scaled to the size of u
+    sd = laplace_eigenpairs(spec.disc, 4)
+    w = sum(0.5**k * sd.eigenfunctions[k].values for k in (1, 2, 3))
+    v = np.max(np.abs(u)) * w / np.max(np.abs(w))
+    h = 1e-4
+    fd = (
+        fn.euler_lagrange(spec, u + h * v, theta) - fn.euler_lagrange(spec, u - h * v, theta)
+    ) / (2.0 * h)
+    Jv = fn.euler_lagrange_jacobian(spec, u, theta) @ v
+    assert np.max(np.abs(Jv - fd)) <= 1e-7 * np.max(np.abs(Jv))
 
 
 def test_tangent_frame_orthonormal_and_tangent(subcritical_spec, rng):
