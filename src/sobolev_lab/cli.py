@@ -22,7 +22,7 @@ from . import constants as cst
 from . import optimize as opt
 from . import reproduce as rep
 from . import stability as st
-from .discretization import DiscreteFunction, build, laplace_eigenpairs
+from .discretization import MIN_NODES, DiscreteFunction, build, laplace_eigenpairs
 from .functionals import QuotientSpec, sobolev_conjugate
 from .geometry import make_product, make_sphere
 
@@ -84,21 +84,31 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
-def _build_model(cfg: dict):
-    if cfg["model"] == "sphere":
-        return make_sphere(cfg["d"])
-    if cfg["model"] == "product":
-        return make_product(cfg["d"])
-    raise ConfigError(f"model must be 'sphere' or 'product', got {cfg['model']!r}")
+def _build_disc(cfg: dict):
+    """The model and its discretization; an out-of-range d or n is a ConfigError."""
+    if cfg["model"] not in ("sphere", "product"):
+        raise ConfigError(f"model must be 'sphere' or 'product', got {cfg['model']!r}")
+    make = make_sphere if cfg["model"] == "sphere" else make_product
+    try:
+        model = make(cfg["d"])
+        return model, build(model, cfg["n"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _resolve_q(cfg: dict, model) -> float:
+    """cfg["q"], or 2* when it is not positive; it must lie in (2, 2*]."""
+    qmax = sobolev_conjugate(model.dim)
+    q = cfg["q"] if cfg["q"] > 0 else qmax
+    if not 2.0 < q <= qmax + 1e-12:
+        raise ConfigError(f"q must lie in (2, {qmax:g}], got {q:g}")
+    cfg["q"] = q
+    return q
 
 
 def _build_spec(cfg: dict):
-    model = _build_model(cfg)
-    disc = build(model, cfg["n"])
-    q = cfg["q"]
-    if q <= 0:
-        q = sobolev_conjugate(model.dim)
-        cfg["q"] = q
+    model, disc = _build_disc(cfg)
+    q = _resolve_q(cfg, model)
     A = cfg.get("A", 0.0)
     if A <= 0:
         A, _ = cst.a_opt_default(model, disc, q)
@@ -127,10 +137,10 @@ def cmd_constants(args) -> int:
         "model": "sphere", "d": 3, "q": 0.0, "n": 128, "b_budget": 4, "seed": 0,
     }
     cfg = _resolve(args, defaults)
-    model = _build_model(cfg)
-    disc = build(model, cfg["n"])
-    q = cfg["q"] if cfg["q"] > 0 else sobolev_conjugate(model.dim)
-    cfg["q"] = q
+    if cfg["b_budget"] < 0:
+        raise ConfigError(f"b_budget must be >= 0, got {cfg['b_budget']}")
+    model, disc = _build_disc(cfg)
+    q = _resolve_q(cfg, model)
     report = cst.constants_report(model, disc, q, b_budget=cfg["b_budget"], seed=cfg["seed"])
     print(report.to_table())
     payload = json.loads(report.to_json())
@@ -183,8 +193,7 @@ def cmd_minimize(args) -> int:
 def cmd_spectrum(args) -> int:
     defaults = {"model": "sphere", "d": 3, "n": 128, "k": 8}
     cfg = _resolve(args, defaults)
-    model = _build_model(cfg)
-    disc = build(model, cfg["n"])
+    _, disc = _build_disc(cfg)
     if not 1 <= cfg["k"] <= disc.n:
         raise ConfigError(f"k must be in [1, {disc.n}], got {cfg['k']}")
     sd = laplace_eigenpairs(disc, cfg["k"])
@@ -249,6 +258,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    # the suite builds both models, and the product needs an even n
+    if args.n is not None and (args.n < MIN_NODES or args.n % 2):
+        raise ConfigError(f"n must be even and >= {MIN_NODES}, got {args.n}")
     results = rep.run_suite(only=args.only, n=args.n)
     if not results:
         raise ConfigError(f"--only {args.only!r} matched no criteria")
@@ -290,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="optimal-constant report for one model")
     _add_common(p, "config", "model", "q", "seed", "out")
     p.add_argument("--b-budget", dest="b_budget", type=int,
-                   help="multistart budget for the B_opt lower bound")
+                   help="random starts (>= 0) of the L-BFGS search for the B_opt lower bound; "
+                        "each start and end point is certified by the reference quotient")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("minimize", help="minimize the Sobolev quotient")
@@ -322,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the acceptance suite")
     p.add_argument("--only", help="substring filter on criterion names")
     p.add_argument("--n", type=int,
-                   help="override resolution (slope tolerances widen below 256)")
+                   help="override resolution, even and >= 16 (slope tolerances widen below 256)")
     p.add_argument("--out", help="write the results table as JSON")
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -163,3 +163,22 @@ def test_thread_cap_is_set_before_blas_loads():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--q", "7"],
+    ["constants", "--n", "10"],
+    ["constants", "--d", "2"],
+    ["constants", "--b-budget", "-1"],
+    ["spectrum", "--model", "product", "--n", "63"],
+    ["minimize", "--n", "10"],
+    ["scan", "--q", "1.5"],
+    ["reproduce", "--n", "10"],
+    ["reproduce", "--n", "65"],
+])
+def test_out_of_range_input_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sobolev_lab import constants as cst
+from sobolev_lab.discretization import laplace_eigenpairs
 from sobolev_lab.geometry import make_product
 
 
@@ -87,6 +89,54 @@ def test_estimate_b_opt_deterministic(sphere3, sphere3_disc):
     a = cst.estimate_b_opt(sphere3, sphere3_disc, budget=2, seed=5)
     b = cst.estimate_b_opt(sphere3, sphere3_disc, budget=2, seed=5)
     assert a == b
+
+
+def _b_search_space(disc, k=12):
+    sd = laplace_eigenpairs(disc, k)
+    phi = np.column_stack([f.values for f in sd.eigenfunctions])
+    w = disc.quad_weights
+    dphi = disc.diff_matrix @ phi
+    return phi, phi.T @ (w[:, None] * phi), dphi.T @ (w[:, None] * dphi)
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_b_ratio_gradient_matches_finite_difference(disc_name, request, rng):
+    disc = request.getfixturevalue(disc_name)
+    phi, gram, stiff = _b_search_space(disc)
+    k = phi.shape[1]
+    c = np.eye(k)[0] + 0.2 * rng.standard_normal(k)
+    ratio, grad = cst._b_ratio_and_grad(c, disc, phi, gram, stiff)
+    # the Gram-matrix ratio is the reference quotient at the same u
+    assert ratio == pytest.approx(cst._b_objective(disc, phi, c), rel=1e-12, abs=0.0)
+    h = 1e-5
+    fd = np.array([
+        (cst._b_ratio_and_grad(c + h * e, disc, phi, gram, stiff)[0]
+         - cst._b_ratio_and_grad(c - h * e, disc, phi, gram, stiff)[0]) / (2.0 * h)
+        for e in np.eye(k)
+    ])
+    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+
+
+def test_estimate_b_opt_product_matches_nelder_mead_value(product4, product4_disc):
+    # value of the earlier Nelder-Mead search from the same starts
+    est = cst.estimate_b_opt(product4, product4_disc, budget=4, seed=0)
+    assert est == pytest.approx(0.107071803943094, rel=1e-10)
+
+
+def test_estimate_b_opt_certifies_every_start_and_end(monkeypatch, sphere3, sphere3_disc):
+    # the benchmark counts the search's evaluations through this module global
+    calls = []
+    original = cst._b_objective
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cst, "_b_objective", counting)
+    budget = 2
+    cst.estimate_b_opt(sphere3, sphere3_disc, budget=budget, seed=0)
+    # constant, four perturbations, three bubbles, `budget` random starts
+    assert len(calls) >= 2 * (1 + 4 + 3 + budget)
 
 
 def test_constants_report_sphere(sphere3, sphere3_disc):
