@@ -23,7 +23,7 @@ from . import optimize as opt
 from . import reproduce as rep
 from . import stability as st
 from .discretization import MIN_NODES, DiscreteFunction, build, laplace_eigenpairs
-from .functionals import QuotientSpec, sobolev_conjugate
+from .functionals import QuotientSpec, check_exponent, sobolev_conjugate
 from .geometry import make_product, make_sphere
 
 EXIT_OK = 0
@@ -81,6 +81,9 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
+    # seeds key a Philox stream, which takes non-negative integers only
+    if resolved.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
@@ -98,10 +101,11 @@ def _build_disc(cfg: dict):
 
 def _resolve_q(cfg: dict, model) -> float:
     """cfg["q"], or 2* when it is not positive; it must lie in (2, 2*]."""
-    qmax = sobolev_conjugate(model.dim)
-    q = cfg["q"] if cfg["q"] > 0 else qmax
-    if not 2.0 < q <= qmax + 1e-12:
-        raise ConfigError(f"q must lie in (2, {qmax:g}], got {q:g}")
+    q = cfg["q"] if cfg["q"] > 0 else sobolev_conjugate(model.dim)
+    try:
+        check_exponent(q, model.dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     cfg["q"] = q
     return q
 
@@ -156,7 +160,10 @@ def _initial_guess(cfg: dict, disc):
     if init == "constant":
         return DiscreteFunction(disc, np.ones(disc.n))
     if init.startswith("bubble:"):
-        return st.bubble(disc, 1.0, float(init.split(":", 1)[1]))
+        try:
+            return st.bubble(disc, 1.0, float(init.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ConfigError(f"init {init!r}: {exc}") from exc
     if init == "random":
         sd = laplace_eigenpairs(disc, min(8, disc.n))
         phis = np.column_stack([f.values for f in sd.eigenfunctions])
@@ -217,7 +224,9 @@ def cmd_scan(args) -> int:
         )
     if not 0 < cfg["eps_lo"] < cfg["eps_hi"]:
         raise ConfigError("need 0 < eps_lo < eps_hi")
-    spec, _, _ = _build_spec(cfg)
+    spec, _, disc = _build_spec(cfg)
+    if not 1 <= cfg["mode_index"] < disc.n:
+        raise ConfigError(f"mode_index must be in [1, {disc.n - 1}], got {cfg['mode_index']}")
     ray = st.ray_from_constants(
         spec,
         mode_index=cfg["mode_index"],

@@ -11,7 +11,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from . import discretization as dz
 from .discretization import DiscreteFunction, Discretization, laplace_eigenpairs
-from .functionals import sobolev_conjugate
+from .functionals import check_exponent, sobolev_conjugate
 from .geometry import ManifoldModel, ModelKind, make_product, unit_sphere_volume
 
 
@@ -44,18 +44,14 @@ def a_opt_spectral_gap(disc: Discretization, q: float) -> float:
     functions; the caller owns that assertion (see ConstantsReport provenance).
     """
     model = disc.model
-    qmax = sobolev_conjugate(model.dim)
-    if not 2.0 < q <= qmax + 1e-12:
-        raise ValueError(f"q must lie in (2, {qmax}], got {q}")
+    check_exponent(q, model.dim)
     lam = spectral_gap(disc)
     return (q - 2.0) / lam * model.total_volume ** (2.0 / q - 1.0)
 
 
 def a_opt_sphere_closed_form(d: int, q: float) -> float:
     """((q-2)/d) * Vol(S^d)^{2/q-1}, valid for the round sphere, 2 < q <= 2*."""
-    qmax = sobolev_conjugate(d)
-    if not 2.0 < q <= qmax + 1e-12:
-        raise ValueError(f"q must lie in (2, {qmax}], got {q}")
+    check_exponent(q, d)
     return (q - 2.0) / d * unit_sphere_volume(d) ** (2.0 / q - 1.0)
 
 

@@ -3,12 +3,13 @@
 The sphere-radial problem is mapped by x = cos t onto (-1, 1), where the
 volume density becomes the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes and
 weights come from the Gauss-Jacobi rule for that weight, so the vanishing
-boundary density is handled analytically.  In the x variable the radial
-Laplacian reads
-
-    -Delta f = d*x*f_x - (1 - x^2)*f_xx,
-
-with polynomial eigenfunctions (Gegenbauer) and eigenvalues k*(k+d-1).
+boundary density is handled analytically.  The radial Laplacian
+-Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer eigenfunctions and
+eigenvalues k*(k+d-1).  It is assembled in weak form, W(-Delta) = Dt^T W Dt
+with W the quadrature weights: for degree < n both sides of
+int f_t g_t dVol = int (-Delta f) g dVol have degree <= 2n - 2, and the rule
+is exact to degree 2n - 1, so this is the collocation matrix in exact
+arithmetic, while in floating point W(-Delta) is symmetric by construction.
 The circle factor of the product model uses uniform nodes and Fourier
 differentiation; there -Delta f = -f''.
 """
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.special import roots_jacobi
 
 from .geometry import ManifoldModel, ModelKind, unit_sphere_volume
@@ -98,7 +100,7 @@ class DiscreteFunction:
 class SpectralData:
     eigenvalues: np.ndarray
     eigenfunctions: list
-    residuals: np.ndarray = field(default_factory=lambda: np.array([]))
+    residuals: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
@@ -120,12 +122,13 @@ def build(model: ManifoldModel, n: int) -> Discretization:
         qw = unit_sphere_volume(d - 1) * wq
         Dx = _barycentric_diff_matrix(x)
         Dt = -np.sin(t)[:, None] * Dx
-        L = (d * x)[:, None] * Dx - (1.0 - x**2)[:, None] * (Dx @ Dx)
+        G = np.sqrt(qw)[:, None] * Dt
+        K = G.T @ G  # Dt^T W Dt, exactly symmetric (numpy evaluates G^T G by syrk)
         # push the row sums to zero so constants are annihilated to rounding
         ones = np.ones(n)
         for _ in range(2):
-            L[np.arange(n), np.arange(n)] -= L @ ones
-        return Discretization(model, n, t, qw, Dt, L)
+            K[np.arange(n), np.arange(n)] -= K @ ones
+        return Discretization(model, n, t, qw, Dt, K / qw[:, None])
     if n % 2 != 0:
         raise ValueError("periodic discretization requires even n")
     t = model.length * np.arange(n) / n
@@ -159,27 +162,37 @@ def gradient_norm_sq(disc: Discretization, f: DiscreteFunction) -> float:
     return float(np.sum(disc.quad_weights * df * df))
 
 
+def frame_eigenpairs(
+    disc: Discretization, S: np.ndarray, k: int, frame: np.ndarray | None = None
+) -> SpectralData:
+    """Bottom-k eigenpairs of a symmetric matrix S in the sqrt(W) frame.
+
+    An eigenvector c maps to the function (frame @ c) / sqrt(W), which is
+    quadrature-orthonormal; it is signed so that its first entry with
+    |phi| >= max|phi| / 2 is positive.  The residual ||S c - lambda c||_2 is
+    the W-norm of the residual of the eigen-equation of the operator.
+    """
+    if not 1 <= k <= len(S):
+        raise ValueError(f"k must be in [1, {len(S)}], got {k}")
+    evals, vecs = eigh(S, subset_by_index=[0, k - 1])
+    residuals = np.linalg.norm(S @ vecs - vecs * evals, axis=0)
+    if frame is not None:
+        vecs = frame @ vecs
+    phis = vecs / np.sqrt(disc.quad_weights)[:, None]
+    mags = np.abs(phis)
+    first = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
+    phis *= np.sign(phis[first, np.arange(k)])
+    funcs = [DiscreteFunction(disc, phi) for phi in phis.T.copy()]
+    return SpectralData(evals, funcs, residuals)
+
+
 def laplace_eigenpairs(disc: Discretization, k: int) -> SpectralData:
     """k smallest eigenpairs of -Delta, quadrature-orthonormal eigenfunctions."""
-    if not 1 <= k <= disc.n:
-        raise ValueError(f"k must be in [1, {disc.n}], got {k}")
     sw = np.sqrt(disc.quad_weights)
-    S = (sw[:, None] * disc.laplace_matrix) / sw[None, :]
-    S = 0.5 * (S + S.T)
-    evals, vecs = np.linalg.eigh(S)
-    evals = evals[:k]
-    funcs = []
-    residuals = np.empty(k)
-    for i in range(k):
-        phi = vecs[:, i] / sw
-        if phi[np.argmax(np.abs(phi))] < 0:
-            phi = -phi
-        funcs.append(DiscreteFunction(disc, phi))
-        r = disc.laplace_matrix @ phi - evals[i] * phi
-        residuals[i] = math.sqrt(float(np.sum(disc.quad_weights * r * r)))
-    scale = max(1.0, abs(evals[-1]))
-    if np.any(residuals > 1e-6 * scale):
+    sd = frame_eigenpairs(disc, (sw[:, None] * disc.laplace_matrix) / sw[None, :], k)
+    scale = max(1.0, abs(sd.eigenvalues[-1]))
+    if np.any(sd.residuals > 1e-6 * scale):
         raise RuntimeError(
-            f"eigen-solve residuals too large: {residuals.max():.3e} (scale {scale:.3e})"
+            f"eigen-solve residuals too large: {sd.residuals.max():.3e} (scale {scale:.3e})"
         )
-    return SpectralData(np.asarray(evals), funcs, residuals)
+    return sd

@@ -45,6 +45,13 @@ def sobolev_conjugate(d: int) -> float:
     return 2.0 * d / (d - 2.0)
 
 
+def check_exponent(q: float, d: int) -> None:
+    """Raise ValueError unless 2 < q <= 2* (up to 1e-12 above 2*)."""
+    qmax = sobolev_conjugate(d)
+    if not 2.0 < q <= qmax + 1e-12:
+        raise ValueError(f"q must lie in (2, {qmax:g}], got {q}")
+
+
 @dataclass(frozen=True)
 class QuotientSpec:
     A: float
@@ -57,9 +64,7 @@ class QuotientSpec:
             raise ValueError(f"A must be finite positive, got {self.A}")
         if not (self.B > 0 and np.isfinite(self.B)):
             raise ValueError(f"B must be finite positive, got {self.B}")
-        qmax = sobolev_conjugate(self.disc.model.dim)
-        if not 2.0 < self.q <= qmax + 1e-12:
-            raise ValueError(f"q must lie in (2, {qmax}], got {self.q}")
+        check_exponent(self.q, self.disc.model.dim)
 
 
 def _nonzero(u: DiscreteFunction) -> None:
@@ -179,9 +184,10 @@ def hessian_form(
 def hessian_matrix(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     """Second-variation matrix in the quadrature-orthonormal frame.
 
-    The direction u is deflated by the (non-orthogonal) tangent projection,
-    so the returned symmetric matrix carries one artificial zero mode along
-    u; spectrum extraction compresses onto the tangent space explicitly.
+    Symmetric up to rounding, as W(-Delta) is.  The direction u is deflated
+    by the (non-orthogonal) tangent projection, so the matrix carries one
+    artificial zero mode along u; spectrum extraction compresses onto the
+    tangent space explicitly.
     """
     check_normalized(spec, u)
     disc = spec.disc
@@ -189,10 +195,8 @@ def hessian_matrix(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     S = qw[:, None] * euler_lagrange_jacobian(spec, u.values, 2.0 * quotient(spec, u))
     uq1 = power_qm1(u.values, spec.q)
     P = np.eye(disc.n) - np.outer(u.values, qw * uq1)
-    H = P.T @ (0.5 * (S + S.T)) @ P
     sw = np.sqrt(qw)
-    H = H / sw[:, None] / sw[None, :]
-    return 0.5 * (H + H.T)
+    return (P.T @ S @ P) / sw[:, None] / sw[None, :]
 
 
 def tangent_frame(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:

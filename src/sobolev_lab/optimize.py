@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import functionals as fn
-from .discretization import DiscreteFunction, SpectralData, laplace_eigenpairs
+from .discretization import DiscreteFunction, SpectralData, frame_eigenpairs, laplace_eigenpairs
 from .functionals import QuotientSpec
 from .geometry import ModelKind
 
@@ -93,26 +93,8 @@ def _l2_norm(spec: QuotientSpec, values: np.ndarray) -> float:
 
 def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> SpectralData:
     """Bottom-k eigenpairs of the constrained Hessian on the tangent space."""
-    disc = spec.disc
-    if not 1 <= k <= disc.n - 1:
-        raise ValueError(f"k must be in [1, {disc.n - 1}], got {k}")
-    H = fn.hessian_matrix(spec, u)
     Z = fn.tangent_frame(spec, u)
-    Hc = Z.T @ H @ Z
-    Hc = 0.5 * (Hc + Hc.T)
-    evals, vecs = np.linalg.eigh(Hc)
-    sw = np.sqrt(disc.quad_weights)
-    funcs = []
-    residuals = np.empty(k)
-    for i in range(k):
-        c = Z @ vecs[:, i]
-        phi = c / sw
-        if phi[np.argmax(np.abs(phi))] < 0:
-            phi = -phi
-        funcs.append(DiscreteFunction(disc, phi))
-        r = Hc @ vecs[:, i] - evals[i] * vecs[:, i]
-        residuals[i] = float(np.linalg.norm(r))
-    return SpectralData(np.asarray(evals[:k]), funcs, residuals)
+    return frame_eigenpairs(spec.disc, Z.T @ fn.hessian_matrix(spec, u) @ Z, k, Z)
 
 
 def kernel_basis_at(

@@ -94,9 +94,21 @@ def check_bubble_extremality(n: int = 256):
     return worst < 1e-6, worst, "max |Q(bubble) - 1| over b in {0.3, 0.6, 0.9}"
 
 
-def _fd_quotient(spec, u_values, phi_values, eps):
-    disc = spec.disc
-    return fn.quotient(spec, DiscreteFunction(disc, u_values + eps * phi_values))
+def _fd_quotients(spec, u, du, phi, dphi, steps):
+    """Q(u + e phi) for each e in steps, in long double, from du = D u and dphi = D phi.
+
+    A second difference of a near-zero second variation loses about
+    eps_mach / e^2 of Q to rounding; long double keeps that far below the
+    tolerance.  D(u + e phi) = du + e dphi, so du and dphi can be float64.
+    The power is exp(q log|v|), several times faster than powl and
+    accurate to a few long-double ulps.
+    """
+    w = spec.disc.quad_weights.astype(np.longdouble)
+    e = np.asarray(steps, dtype=np.longdouble)[:, None]
+    v = u + e * phi
+    dv = du + e * dphi
+    num = spec.A * ((dv * dv) @ w) + spec.B * ((v * v) @ w)
+    return num / (np.exp(spec.q * np.log(np.abs(v))) @ w) ** (2.0 / spec.q)
 
 
 def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
@@ -112,8 +124,11 @@ def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
             disc=disc_p,
         ),
     ]
+    # Richardson-combined central differences at steps h and 2h
+    h1, h2 = 5e-5, 5e-4
     for spec in specs:
         disc = spec.disc
+        D = disc.diff_matrix
         sd = laplace_eigenpairs(disc, 8)
         phis = np.column_stack([f.values for f in sd.eigenfunctions])
         rng = np.random.Generator(np.random.Philox(seed))
@@ -122,36 +137,26 @@ def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
             u = fn.normalize(
                 DiscreteFunction(disc, np.abs(2.0 + phis @ coeffs)), spec.q
             )
-            q0 = fn.quotient(spec, u)
+            du = D @ u.values
             g = fn.gradient(spec, u)
             for _k in range(2):
                 dir_c = rng.standard_normal(8) * 0.4 ** np.arange(8)
                 phi = DiscreteFunction(disc, phis @ dir_c)
                 pairing = float(np.sum(disc.quad_weights * g.values * phi.values))
-
-                def fd1(e):
-                    return (
-                        _fd_quotient(spec, u.values, phi.values, e)
-                        - _fd_quotient(spec, u.values, phi.values, -e)
-                    ) / (2 * e)
-
-                # Richardson keeps the roundoff floor below tiny pairings
-                fd = (4.0 * fd1(5e-5) - fd1(1e-4)) / 3.0
+                qp, qm, qp2, qm2 = _fd_quotients(
+                    spec, u.values, du, phi.values, D @ phi.values, (h1, -h1, 2 * h1, -2 * h1)
+                )
+                fd = float((8.0 * (qp - qm) - (qp2 - qm2)) / (12.0 * h1))
                 scale = max(abs(pairing), abs(fd), 1e-8)
                 worst_g = max(worst_g, abs(pairing - fd) / scale)
                 # Hessian along the tangent-projected direction
                 tphi = fn.project_tangent(spec, u, phi)
                 h = fn.hessian_form(spec, u, tphi, tphi)
-
-                def fd2(e):
-                    return (
-                        _fd_quotient(spec, u.values, tphi.values, e)
-                        - 2 * q0
-                        + _fd_quotient(spec, u.values, tphi.values, -e)
-                    ) / e**2
-
-                e0 = 1e-3
-                rich = (4.0 * fd2(e0 / 2) - fd2(e0)) / 3.0
+                q0, qp, qm, qp2, qm2 = _fd_quotients(
+                    spec, u.values, du, tphi.values, D @ tphi.values,
+                    (0.0, h2, -h2, 2 * h2, -2 * h2),
+                )
+                rich = float((16.0 * (qp + qm - 2 * q0) - (qp2 + qm2 - 2 * q0)) / (12.0 * h2**2))
                 scale = max(abs(h), abs(rich), 1e-8)
                 worst_h = max(worst_h, abs(h - rich) / scale)
     ok = worst_g < 1e-5 and worst_h < 1e-4

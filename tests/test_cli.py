@@ -175,6 +175,14 @@ def test_thread_cap_is_set_before_blas_loads():
     ["scan", "--q", "1.5"],
     ["reproduce", "--n", "10"],
     ["reproduce", "--n", "65"],
+    ["constants", "--seed", "-1"],
+    ["minimize", "--init", "random", "--seed", "-1"],
+    ["scan", "--n", "64", "--mode-index", "0"],
+    ["scan", "--n", "64", "--mode-index", "-1"],
+    ["scan", "--n", "64", "--mode-index", "99"],
+    ["minimize", "--n", "64", "--init", "bubble:abc"],
+    ["minimize", "--n", "64", "--init", "bubble:1.5"],
+    ["minimize", "--model", "product", "--d", "4", "--n", "64", "--init", "bubble:0.5"],
 ])
 def test_out_of_range_input_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG_ERROR

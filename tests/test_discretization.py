@@ -83,6 +83,15 @@ def test_eigenfunctions_orthonormal(sphere3_disc):
     assert np.max(np.abs(G - np.eye(6))) < 1e-10
 
 
+@pytest.mark.parametrize("d", [3, 8])
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_eigenfunction_sign_convention(d, n):
+    # radial eigenfunctions have equal |phi| at both poles, so the sign is
+    # fixed by the first node with |phi| >= max|phi| / 2: the north pole
+    sd = laplace_eigenpairs(build(make_sphere(d), n), 10)
+    assert all(f.values[0] > 0 for f in sd.eigenfunctions)
+
+
 def test_eigenpairs_k_validation(sphere3_disc):
     with pytest.raises(ValueError):
         laplace_eigenpairs(sphere3_disc, 0)

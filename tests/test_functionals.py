@@ -179,6 +179,14 @@ def test_hessian_matrix_matches_form(subcritical_spec, rng):
 
 
 @pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+def test_hessian_matrix_symmetric(spec_name, request, rng):
+    # no symmetrization: W (-Delta) is symmetric by construction
+    spec = request.getfixturevalue(spec_name)
+    H = fn.hessian_matrix(spec, _normalized_sample(spec, rng))
+    assert np.linalg.norm(H - H.T) <= 1e-13 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
 def test_euler_lagrange_jacobian_matches_finite_difference(spec_name, request, rng):
     spec = request.getfixturevalue(spec_name)
     sample = _normalized_sample(spec, rng)
