@@ -222,8 +222,12 @@ def cmd_scan(args) -> int:
         raise ConfigError(
             f"family must be one of {st.EXTREMAL_FAMILIES}, got {cfg['family']!r}"
         )
+    if cfg["family"] == "bubbles_and_constants" and cfg["model"] != "sphere":
+        raise ConfigError("family bubbles_and_constants needs the sphere model")
     if not 0 < cfg["eps_lo"] < cfg["eps_hi"]:
         raise ConfigError("need 0 < eps_lo < eps_hi")
+    if cfg["eps_count"] < st.MIN_FIT_POINTS:
+        raise ConfigError(f"eps_count must be >= {st.MIN_FIT_POINTS}, got {cfg['eps_count']}")
     spec, _, disc = _build_spec(cfg)
     if not 1 <= cfg["mode_index"] < disc.n:
         raise ConfigError(f"mode_index must be in [1, {disc.n - 1}], got {cfg['mode_index']}")

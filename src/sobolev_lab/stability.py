@@ -33,7 +33,12 @@ from .optimize import CriticalPoint, reduced_functional
 EXTREMAL_FAMILIES = ("constants", "bubbles_and_constants")
 NOISE_FLOOR_FACTOR = 100.0
 CLASSIFY_MARGIN = 0.5
+MIN_FIT_POINTS = 5  # a ray scan fits its exponent to at least this many points
 LOJASIEWICZ_SAMPLING = np.geomspace(0.02, 0.2, 10)
+
+
+def _bubble_values(cos_t: np.ndarray, b: float, d: int) -> np.ndarray:
+    return (1.0 - b * cos_t) ** ((2.0 - d) / 2.0)
 
 
 def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
@@ -44,41 +49,41 @@ def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
         raise ValueError("amplitude a must be nonzero")
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got {b}")
-    d = disc.model.dim
-    vals = a * (1.0 - b * np.cos(disc.nodes)) ** ((2.0 - d) / 2.0)
-    return DiscreteFunction(disc, vals)
+    return DiscreteFunction(disc, a * _bubble_values(np.cos(disc.nodes), b, disc.model.dim))
 
 
 def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
     return gradient_norm_sq(disc, u) + inner(disc, u, u)
 
 
-def _distance_to_constants(disc: Discretization, u: DiscreteFunction) -> float:
-    # closed-form projection: the optimal constant is the volume average
-    vol = disc.model.total_volume
-    c = disc.integrate(u.values) / vol
-    diff = DiscreteFunction(disc, u.values - c)
-    return math.sqrt(w12_norm_sq(disc, diff) / w12_norm_sq(disc, u))
+def _w12_pair(wf: np.ndarray, h: np.ndarray) -> float:
+    # W^{1,2} pairing of rows [f; Df] times the weights with rows [h; Dh], summed
+    # in w12_norm_sq's order (np.add.reduce is np.sum's), so bit for bit equal
+    s = np.add.reduce(wf * h, axis=1)
+    return float(s[1]) + float(s[0])
 
 
-def _distance_to_bubbles(disc: Discretization, u: DiscreteFunction) -> float:
-    # W^{1,2} least squares: closed form in a for fixed b, golden section in b
-    norm_u = math.sqrt(w12_norm_sq(disc, u))
-    du = disc.diff_matrix @ u.values
+def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> float:
+    # W^{1,2} least squares on raw rows [f; Df]: closed form in a, golden section
+    # in b.  The residual r = u - a g is formed (||u||^2 - <u,g>^2/||g||^2 cancels
+    # to noise on an exact bubble) and differentiated as D r: Du - a Dg loses up
+    # to 40x more digits near an extremal, as D is O(n^2) on the O(1) parts of u
+    # and g.  The distance is linear in |b - b*| on an exact bubble, so all 80
+    # steps run (bracket ~1e-17) to keep it at rounding level there.
+    D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
+    wu, g, r = w * u, np.empty_like(u), np.empty_like(u)
 
     def dist_at(b: float) -> float:
-        g = bubble(disc, 1.0, b)
-        gg = w12_norm_sq(disc, g)
-        dg = disc.diff_matrix @ g.values
-        ug = float(np.sum(disc.quad_weights * du * dg)) + inner(disc, u, g)
-        a = ug / gg
-        diff = DiscreteFunction(disc, u.values - a * g.values)
-        return math.sqrt(max(w12_norm_sq(disc, diff), 0.0)) / norm_u
+        g[0] = _bubble_values(cos_t, b, d)
+        np.matmul(D, g[0], out=g[1])
+        a = _w12_pair(wu, g) / _w12_pair(w * g, g)
+        np.subtract(u[0], a * g[0], out=r[0])
+        np.matmul(D, r[0], out=r[1])
+        return math.sqrt(_w12_pair(w * r, r)) / norm_u
 
     lo, hi = 1e-6, 1.0 - 1e-6
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     f1, f2 = dist_at(x1), dist_at(x2)
     for _ in range(80):
         if f1 < f2:
@@ -99,10 +104,18 @@ def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
     if family not in EXTREMAL_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {EXTREMAL_FAMILIES}")
     disc = u.disc
-    d_const = _distance_to_constants(disc, u)
+    if family == "bubbles_and_constants" and disc.model.kind is not ModelKind.SPHERE_RADIAL:
+        raise ValueError("bubbles are defined on the sphere-radial model only")
+    w, D, vals = disc.quad_weights, disc.diff_matrix, u.values
+    uu = np.stack([vals, D @ vals])
+    norm_u_sq = _w12_pair(w * uu, uu)
+    # closed-form projection onto constants: the optimal one is the volume average
+    diff = vals - disc.integrate(vals) / disc.model.total_volume
+    diff = np.stack([diff, D @ diff])
+    d_const = math.sqrt(_w12_pair(w * diff, diff) / norm_u_sq)
     if family == "constants":
         return d_const
-    return min(d_const, _distance_to_bubbles(disc, u))
+    return min(d_const, _distance_to_bubbles(disc, uu, math.sqrt(norm_u_sq)))
 
 
 @dataclass
@@ -227,7 +240,7 @@ def ray_scan(spec: QuotientSpec, ray: Ray, family: str = "constants") -> Experim
             }
         )
     window = [r for r in rows if r["in_fit_window"]]
-    if len(window) < 5:
+    if len(window) < MIN_FIT_POINTS:
         for r in rows:
             r["in_fit_window"] = False
         slope, stderr, fit_window = math.nan, math.nan, (math.nan, math.nan)

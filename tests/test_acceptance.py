@@ -5,11 +5,15 @@ The reproduction suite runs once per session, exactly as the CLI
 run, so the command and this file can never drift apart.
 """
 
+import math
 import time
 
+import numpy as np
 import pytest
 
+from sobolev_lab import functionals as fn
 from sobolev_lab import reproduce as rep
+from sobolev_lab.discretization import DiscreteFunction, laplace_eigenpairs
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +85,25 @@ def test_b_estimator_lower_bounds_beta(suite):
 def test_random_deficits_are_nonnegative(suite):
     # 10^4 seeded functions, deficit >= -1e-8
     _run(suite, "deficit_nonnegativity")
+
+
+@pytest.mark.parametrize("chunk_rows", [rep.DEFICIT_CHUNK_ROWS, 128])
+def test_deficit_check_matches_the_per_sample_loop(chunk_rows, monkeypatch):
+    # the chunked batch path against fn.deficit on each seeded sample in turn;
+    # 128-row chunks split the 300 samples into two full chunks and a partial one
+    monkeypatch.setattr(rep, "DEFICIT_CHUNK_ROWS", chunk_rows)
+    spec = rep._sphere_subcritical_spec(64)
+    sd = laplace_eigenpairs(spec.disc, 10)
+    phis = np.column_stack([f.values for f in sd.eigenfunctions])
+    rng = np.random.Generator(np.random.Philox(42))
+    worst = math.inf
+    for _ in range(300):
+        values = phis @ (rng.standard_normal(10) * 0.5 ** np.arange(10))
+        values += 0.01 * rng.standard_normal()
+        worst = min(worst, fn.deficit(spec, DiscreteFunction(spec.disc, values)))
+    passed, value, _ = rep.check_deficit_nonnegativity(count=300)
+    assert passed
+    assert value == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 def test_suite_runtime_budget(suite):

@@ -183,6 +183,9 @@ def test_thread_cap_is_set_before_blas_loads():
     ["minimize", "--n", "64", "--init", "bubble:abc"],
     ["minimize", "--n", "64", "--init", "bubble:1.5"],
     ["minimize", "--model", "product", "--d", "4", "--n", "64", "--init", "bubble:0.5"],
+    ["scan", "--model", "product", "--d", "4", "--n", "64", "--family", "bubbles_and_constants"],
+    ["scan", "--n", "64", "--eps-count", "-1"],
+    ["scan", "--n", "64", "--eps-count", "4"],
 ])
 def test_out_of_range_input_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG_ERROR

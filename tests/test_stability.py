@@ -8,8 +8,9 @@ from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
-from sobolev_lab.discretization import DiscreteFunction
+from sobolev_lab.discretization import DiscreteFunction, build
 from sobolev_lab.functionals import QuotientSpec
+from sobolev_lab.geometry import make_sphere
 
 
 def test_bubble_validation(sphere3_disc, product4_disc):
@@ -55,10 +56,104 @@ def test_distance_to_bubbles_vanishes_on_bubbles(sphere3_disc):
     assert st.distance_to_extremals(u, "bubbles_and_constants") < 1e-6
 
 
-def test_distance_family_validation(sphere3_disc):
+def _golden_min(dist_at):
+    # the library's golden section in b: same bracket, same 80 steps
+    lo, hi = 1e-6, 1.0 - 1e-6
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = dist_at(x1), dist_at(x2)
+    for _ in range(80):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = dist_at(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = dist_at(x2)
+    return min(f1, f2)
+
+
+def _reference_distance(u):
+    """Distance to bubbles and constants, spelled with the public helpers."""
+    disc = u.disc
+    norm_u = math.sqrt(st.w12_norm_sq(disc, u))
+    mean = disc.integrate(u.values) / disc.model.total_volume
+    d_const = math.sqrt(st.w12_norm_sq(disc, DiscreteFunction(disc, u.values - mean))) / norm_u
+    du = disc.diff_matrix @ u.values
+
+    def dist_at(b):
+        g = st.bubble(disc, 1.0, b)
+        dg = disc.diff_matrix @ g.values
+        ug = float(np.sum(disc.quad_weights * (du * dg + u.values * g.values)))
+        a = ug / st.w12_norm_sq(disc, g)
+        diff = DiscreteFunction(disc, u.values - a * g.values)
+        return math.sqrt(st.w12_norm_sq(disc, diff)) / norm_u
+
+    return min(d_const, _golden_min(dist_at))
+
+
+def _extended_bubble_distance(disc, values):
+    """Distance to the bubbles alone, every step in long double precision."""
+    ld = np.longdouble
+    D, w = disc.diff_matrix.astype(ld), disc.quad_weights.astype(ld)
+    cos_t, e = np.cos(disc.nodes.astype(ld)), (ld(2) - disc.model.dim) / 2
+    u = values.astype(ld)
+    du = D @ u
+    norm_u = np.sqrt(np.sum(w * (du * du + u * u)))
+
+    def dist_at(b):
+        g = (1 - ld(b) * cos_t) ** e
+        dg = D @ g
+        a = np.sum(w * (du * dg + u * g)) / np.sum(w * (dg * dg + g * g))
+        r = u - a * g
+        dr = D @ r
+        return np.sqrt(np.sum(w * (dr * dr + r * r))) / norm_u
+
+    return float(_golden_min(dist_at))
+
+
+@pytest.mark.parametrize("d,n", [(3, 64), (8, 256)])
+def test_distance_to_bubbles_matches_reference(d, n):
+    disc = build(make_sphere(d), n)
+    rng = np.random.Generator(np.random.Philox(9))
+    coeffs = rng.standard_normal((20, 10)) * 0.5 ** np.arange(10)
+    coeffs[:, 0] += 0.01 * rng.standard_normal(20)
+    basis = np.polynomial.chebyshev.chebvander(np.cos(disc.nodes), 9)
+    for values in coeffs @ basis.T:
+        u = DiscreteFunction(disc, values)
+        got = st.distance_to_extremals(u, "bubbles_and_constants")
+        assert got == pytest.approx(_reference_distance(u), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_distance_to_bubbles_is_rounding_level_on_bubbles(d):
+    disc = build(make_sphere(d), 128)
+    for b in (0.3, 0.6, 0.9):
+        assert st.distance_to_extremals(st.bubble(disc, 2.0, b), "bubbles_and_constants") <= 1e-13
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+)
+def test_distance_to_bubbles_is_accurate_near_constants(subcritical_spec):
+    # the first rows of a ray scan from constants, where the distance is ~eps^2;
+    # a residual derivative taken as Du - a Dg instead of D r is off by up to 1e-8
+    ray = st.ray_from_constants(subcritical_spec)
+    disc = subcritical_spec.disc
+    for eps in ray.epsilons[:6]:
+        values = ray.base.values + eps * ray.direction.values
+        got = st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
+        assert got == pytest.approx(_extended_bubble_distance(disc, values), rel=2e-9, abs=0.0)
+
+
+def test_distance_family_validation(sphere3_disc, product4_disc):
     u = DiscreteFunction(sphere3_disc, np.ones(sphere3_disc.n))
     with pytest.raises(ValueError):
         st.distance_to_extremals(u, "nonsense")
+    on_product = DiscreteFunction(product4_disc, 1.0 + 0.1 * np.cos(product4_disc.nodes))
+    with pytest.raises(ValueError, match="sphere-radial"):
+        st.distance_to_extremals(on_product, "bubbles_and_constants")
     with pytest.raises(ValueError):
         st.distance_to_extremals(DiscreteFunction(sphere3_disc, np.zeros(sphere3_disc.n)), "constants")
 
