@@ -1,8 +1,9 @@
 """Command-line driver: constants, minimize, spectrum, scan, fit, reproduce.
 
 Option resolution is layered: built-in defaults, then a JSON config file
-(--config), then explicit flags.  The fully resolved configuration is
-embedded in every JSON report.  Files are written atomically (temp file +
+(--config), then explicit flags.  This module alone turns results into JSON
+reports; each carries SCHEMA_VERSION, and all but the reproduce report embed
+the fully resolved configuration.  Files are written atomically (temp file +
 rename).  Exit codes: 0 success, 1 reproduction failure, 2 configuration
 error, 3 numerical failure.
 """
@@ -10,6 +11,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +32,8 @@ EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+
+SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -147,11 +151,9 @@ def cmd_constants(args) -> int:
     q = _resolve_q(cfg, model)
     report = cst.constants_report(model, disc, q, b_budget=cfg["b_budget"], seed=cfg["seed"])
     print(report.to_table())
-    payload = json.loads(report.to_json())
-    payload["config"] = cfg
     if args.out:
-        _write_atomic(args.out, json.dumps(payload, indent=2))
-        print(f"wrote {args.out}")
+        _emit({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report), "config": cfg},
+              args.out)
     return EXIT_OK
 
 
@@ -186,9 +188,17 @@ def cmd_minimize(args) -> int:
         cp = opt.minimize(spec, _initial_guess(cfg, disc))
     if not math.isfinite(cp.value):
         raise NumericalError("minimization produced a non-finite value")
-    payload = json.loads(cp.to_json())
-    payload["certificate_residual"] = opt.certify(spec, cp.u)
-    payload["config"] = cfg
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "value": cp.value,
+        "grad_residual": cp.grad_residual,
+        "hessian_eigenvalues": cp.hessian_spectrum.eigenvalues.tolist(),
+        "kernel_dim": cp.kernel_dim,
+        "converged": cp.converged,
+        "iterations": cp.iterations,
+        "certificate_residual": opt.certify(spec, cp.u),
+        "config": cfg,
+    }
     _emit(payload, args.out)
     if not cp.converged:
         raise NumericalError(
@@ -204,9 +214,12 @@ def cmd_spectrum(args) -> int:
     if not 1 <= cfg["k"] <= disc.n:
         raise ConfigError(f"k must be in [1, {disc.n}], got {cfg['k']}")
     sd = laplace_eigenpairs(disc, cfg["k"])
-    payload = json.loads(sd.to_json())
-    payload["schema_version"] = 1
-    payload["config"] = cfg
+    payload = {
+        "eigenvalues": sd.eigenvalues.tolist(),
+        "residuals": sd.residuals.tolist(),
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg,
+    }
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -237,9 +250,8 @@ def cmd_scan(args) -> int:
         epsilons=st.default_epsilons(cfg["eps_count"], cfg["eps_lo"], cfg["eps_hi"]),
     )
     report = st.ray_scan(spec, ray, cfg["family"])
-    payload = json.loads(report.to_json())
-    payload["config"] = cfg
-    _emit(payload, args.out)
+    _emit({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report), "config": cfg},
+          args.out)
     if args.csv:
         _write_atomic(args.csv, report.to_csv())
         print(f"wrote {args.csv}")
@@ -255,10 +267,16 @@ def cmd_scan(args) -> int:
 def cmd_fit(args) -> int:
     try:
         with open(args.input) as handle:
-            payload = json.load(handle)
-        rows = payload["rows"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+            rows = json.load(handle)["rows"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read scan report {args.input}: {exc}") from exc
+    if not isinstance(rows, list) or not all(
+        isinstance(r, dict) and all(type(r.get(k)) in (int, float) for k in ("deficit", "distance"))
+        for r in rows
+    ):
+        raise ConfigError(
+            f"scan report {args.input}: rows must be objects with numeric deficit and distance"
+        )
     window = [r for r in rows if r.get("in_fit_window") and r["deficit"] > 0]
     if len(window) < 2:
         raise NumericalError("fewer than two usable points in the fit window")
@@ -279,11 +297,7 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(f"--only {args.only!r} matched no criteria")
     print(rep.format_table(results))
     if args.out:
-        _write_atomic(
-            args.out,
-            json.dumps({"schema_version": 1, "results": results}, indent=2),
-        )
-        print(f"wrote {args.out}")
+        _emit({"schema_version": SCHEMA_VERSION, "results": results}, args.out)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_REPRODUCE_FAIL
 
 
@@ -362,9 +376,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ERROR
     except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -172,7 +171,7 @@ def estimate_b_opt(
 
 @dataclass
 class ConstantsReport:
-    model_kind: str
+    model: str
     d: int
     q: float
     S_d: float
@@ -188,26 +187,9 @@ class ConstantsReport:
         if self.S_d <= 0:
             raise ValueError("S_d must be positive")
 
-    def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "model": self.model_kind,
-            "d": self.d,
-            "q": self.q,
-            "S_d": self.S_d,
-            "beta": self.beta,
-            "A_opt": self.A_opt,
-            "A_opt_provenance": self.A_opt_provenance,
-            "B_lower": self.B_lower,
-            "B_opt_estimate": self.B_opt_estimate,
-            "strict_binding": self.strict_binding,
-            "spectral_gap": self.spectral_gap,
-        }
-        return json.dumps(payload, indent=2)
-
     def to_table(self) -> str:
         rows = [
-            ("model", self.model_kind),
+            ("model", self.model),
             ("d", str(self.d)),
             ("q", f"{self.q:.6g}"),
             ("S_d", f"{self.S_d:.12g}"),
@@ -240,7 +222,7 @@ def constants_report(
     d = model.dim
     a_opt, provenance = a_opt_default(model, disc, q)
     return ConstantsReport(
-        model_kind=model.kind.value,
+        model=model.kind.value,
         d=d,
         q=q,
         S_d=euclidean_sobolev_constant(d),

@@ -16,7 +16,6 @@ differentiation; there -Delta f = -f''.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -101,11 +100,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenfunctions: list
     residuals: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"eigenvalues": self.eigenvalues.tolist(), "residuals": self.residuals.tolist()}
-        )
 
 
 def build(model: ManifoldModel, n: int) -> Discretization:

@@ -39,7 +39,6 @@ class ManifoldModel:
     kind: ModelKind
     dim: int
     length: float
-    periodic: bool
     total_volume: float
     scalar_curvature: float
 
@@ -65,7 +64,6 @@ def make_sphere(d: int) -> ManifoldModel:
         kind=ModelKind.SPHERE_RADIAL,
         dim=d,
         length=math.pi,
-        periodic=False,
         total_volume=unit_sphere_volume(d),
         scalar_curvature=float(d * (d - 1)),
     )
@@ -79,7 +77,6 @@ def make_product(d: int) -> ManifoldModel:
         kind=ModelKind.PRODUCT_CIRCLE,
         dim=d,
         length=length,
-        periodic=True,
         total_volume=length * unit_sphere_volume(d - 1),
         scalar_curvature=float((d - 2) * (d - 1)),
     )

@@ -14,7 +14,6 @@ space, including a kernel basis for the Lyapunov-Schmidt reduction.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,25 +57,10 @@ class CriticalPoint:
     converged: bool
     iterations: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "value": self.value,
-                "grad_residual": self.grad_residual,
-                "hessian_eigenvalues": self.hessian_spectrum.eigenvalues.tolist(),
-                "kernel_dim": self.kernel_dim,
-                "converged": self.converged,
-                "iterations": self.iterations,
-            }
-        )
-
 
 @dataclass
 class ReducedFunctionalSample:
-    coords: np.ndarray
     value: float
-    minimizer_perp: DiscreteFunction
     inner_converged: bool
 
 
@@ -286,11 +270,5 @@ def reduced_functional(
     K = np.column_stack([f.values for f in v.kernel_basis])  # n x l
     target = K.T @ (disc.quad_weights * v.u.values) + coords
     u, converged = _bordered_newton(spec, v.u.values + K @ coords, 2.0 * v.value, K, target)
-    uf = DiscreteFunction(disc, u)
-    value = fn.quotient(spec, uf) if converged else math.nan
-    return ReducedFunctionalSample(
-        coords=coords,
-        value=value,
-        minimizer_perp=uf,
-        inner_converged=converged,
-    )
+    value = fn.quotient(spec, DiscreteFunction(disc, u)) if converged else math.nan
+    return ReducedFunctionalSample(value=value, inner_converged=converged)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -175,20 +174,6 @@ class ExperimentReport:
     classification: str  # degenerate | nondegenerate | inconclusive
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "rows": self.rows,
-                "fitted_slope": self.fitted_slope,
-                "slope_stderr": self.slope_stderr,
-                "fit_window": list(self.fit_window),
-                "classification": self.classification,
-                "metadata": self.metadata,
-            },
-            indent=2,
-        )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -273,22 +258,20 @@ def _scan_metadata(spec: QuotientSpec, family: str, floor: float) -> dict:
     }
 
 
-def lojasiewicz_estimate(spec: QuotientSpec, v: CriticalPoint, direction: int = 0) -> float:
+def lojasiewicz_estimate(spec: QuotientSpec, v: CriticalPoint) -> float:
     """Empirical Lojasiewicz exponent 2 + gamma through the reduced functional.
 
     Samples the reduced functional at +/-t, t in LOJASIEWICZ_SAMPLING, along
-    one kernel direction and fits log(q(t) - q(0)) against log t.  Returns
-    NaN when fewer than five samples converge.
+    the first kernel direction and fits log(q(t) - q(0)) against log t.
+    Returns NaN when fewer than five samples converge.
     """
     if v.kernel_dim < 1:
         raise ValueError("critical point has no kernel; Lojasiewicz reduction not applicable")
-    if not 0 <= direction < v.kernel_dim:
-        raise ValueError(f"direction must be in [0, {v.kernel_dim}), got {direction}")
     ts, gaps = [], []
     for t in LOJASIEWICZ_SAMPLING:
         for sign in (+1.0, -1.0):
             coords = np.zeros(v.kernel_dim)
-            coords[direction] = sign * t
+            coords[0] = sign * t
             sample = reduced_functional(spec, v, coords)
             if not sample.inner_converged:
                 continue

@@ -7,8 +7,10 @@ import pytest
 
 import sobolev_lab
 
+from sobolev_lab import constants as cst
 from sobolev_lab.cli import (
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     main,
 )
@@ -17,7 +19,7 @@ from sobolev_lab.cli import (
 def test_constants_writes_report(tmp_path):
     out = tmp_path / "const.json"
     code = main([
-        "constants", "--model", "sphere", "--d", "3", "--n", "64",
+        "constants", "--model", "sphere", "--d", "3", "--q", "4", "--n", "64",
         "--b-budget", "1", "--out", str(out),
     ])
     assert code == EXIT_OK
@@ -26,15 +28,24 @@ def test_constants_writes_report(tmp_path):
     assert payload["config"]["model"] == "sphere"
     assert payload["config"]["n"] == 64
     assert payload["strict_binding"] is True
+    assert payload["A_opt"] == pytest.approx(cst.a_opt_sphere_closed_form(3, 4.0))
 
 
 @pytest.mark.parametrize("argv, keys", [
     (["constants", "--n", "64", "--b-budget", "1"],
      ["schema_version", "model", "d", "q", "S_d", "beta", "A_opt", "A_opt_provenance",
       "B_lower", "B_opt_estimate", "strict_binding", "spectral_gap", "config"]),
+    (["minimize", "--n", "64", "--q", "4"],
+     ["schema_version", "value", "grad_residual", "hessian_eigenvalues", "kernel_dim",
+      "converged", "iterations", "certificate_residual", "config"]),
     (["spectrum", "--n", "64"],
      ["eigenvalues", "residuals", "schema_version", "config"]),
-], ids=["constants", "spectrum"])
+    (["scan", "--n", "64", "--q", "4"],
+     ["schema_version", "rows", "fitted_slope", "slope_stderr", "fit_window",
+      "classification", "metadata", "config"]),
+    (["reproduce", "--only", "strict_binding"],
+     ["schema_version", "results"]),
+], ids=["constants", "minimize", "spectrum", "scan", "reproduce"])
 def test_report_key_order(tmp_path, argv, keys):
     # the report schema: every key, in order
     out = tmp_path / "report.json"
@@ -84,7 +95,9 @@ def test_minimize_reports_certificate(tmp_path):
     ])
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
+    assert payload["schema_version"] == 1
     assert payload["converged"] is True
+    assert len(payload["hessian_eigenvalues"]) == 8
     assert payload["certificate_residual"] < 1e-10
     assert payload["value"] == pytest.approx(1.0, abs=1e-10)
 
@@ -107,6 +120,8 @@ def test_scan_then_fit_round_trip(tmp_path, capsys):
     assert code == EXIT_OK
     assert csv_out.read_text().startswith("epsilon,")
     payload = json.loads(out.read_text())
+    assert payload["schema_version"] == 1
+    assert payload["metadata"]["family"] == "constants"
     assert payload["classification"] == "degenerate"
     capsys.readouterr()
     assert main(["fit", "--input", str(out)]) == EXIT_OK
@@ -125,6 +140,34 @@ def test_fit_missing_file_is_config_error(tmp_path):
     assert main(["fit", "--input", str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("report", [
+    {"rows": [{"in_fit_window": True}]},
+    {"rows": 5},
+    [1, 2],
+    {"rows": [{"in_fit_window": True, "deficit": "x", "distance": 0.1}]},
+], ids=["row-without-deficit", "rows-not-a-list", "not-an-object", "deficit-not-a-number"])
+def test_fit_malformed_report_is_config_error(tmp_path, capsys, report):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(report))
+    assert main(["fit", "--input", str(path)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fit_with_one_usable_point_is_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(
+        {"rows": [{"deficit": 1e-4, "distance": 1e-2, "in_fit_window": True}]}
+    ))
+    assert main(["fit", "--input", str(path)]) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_reproduce_single_criterion(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["reproduce", "--only", "strict_binding", "--out", str(out)])
@@ -133,6 +176,33 @@ def test_reproduce_single_criterion(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["results"][0]["name"] == "strict_binding"
     assert payload["results"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--n", "64", "--b-budget", "1"],
+    ["minimize", "--n", "64", "--q", "4"],
+    ["spectrum", "--n", "64"],
+    ["scan", "--n", "64", "--q", "4"],
+], ids=["constants", "minimize", "spectrum", "scan"])
+def test_report_is_reproducible(tmp_path, argv):
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"run{run}.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_reproduce_report_differs_only_in_seconds(tmp_path):
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"run{run}.json"
+        assert main(["reproduce", "--only", "strict_binding", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        for result in report["results"]:
+            assert result.pop("seconds") >= 0
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
 
 
 def test_reproduce_unmatched_filter_is_config_error():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -143,9 +142,6 @@ def test_constants_report_sphere(sphere3, sphere3_disc):
     rep = cst.constants_report(sphere3, sphere3_disc, 4.0, b_budget=1)
     assert rep.A_opt_provenance == "closed-form-sphere"
     assert rep.strict_binding
-    payload = json.loads(rep.to_json())
-    assert payload["schema_version"] == 1
-    assert payload["A_opt"] == pytest.approx(cst.a_opt_sphere_closed_form(3, 4.0))
     assert "A_opt" in rep.to_table()
 
 

@@ -45,7 +45,6 @@ def test_make_sphere_fields():
     assert m.kind is ModelKind.SPHERE_RADIAL
     assert m.dim == 3
     assert m.length == math.pi
-    assert not m.periodic
     assert m.total_volume == pytest.approx(2.0 * math.pi**2, rel=1e-15)
     assert m.scalar_curvature == 6.0
 
@@ -62,7 +61,6 @@ def test_sphere_weight_matches_density():
 def test_make_product_fields():
     m = make_product(4)
     assert m.kind is ModelKind.PRODUCT_CIRCLE
-    assert m.periodic
     assert m.length == pytest.approx(2.0 * math.pi / math.sqrt(2.0), rel=1e-15)
     assert m.total_volume == pytest.approx(m.length * 2.0 * math.pi**2, rel=1e-15)
     # cross-section S^3 with unit radius

@@ -1,4 +1,5 @@
-"""Every module-level import in the package and the tests is read somewhere."""
+"""Every module-level import in the package and the tests is read somewhere,
+and the CLI is the only package module that imports json."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,18 @@ def test_module_level_imports_are_read():
     files += (ROOT / "tests").glob("*.py")
     unused = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in sorted(files)}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_only_the_cli_imports_json():
+    importers = set()
+    for path in (ROOT / "src" / "sobolev_lab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "json" for m in modules):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
