@@ -278,11 +278,15 @@ def cmd_fit(args) -> int:
             f"scan report {args.input}: rows must be objects with numeric deficit and distance"
         )
     window = [r for r in rows if r.get("in_fit_window") and r["deficit"] > 0]
+    if not all(0 < r["distance"] < math.inf and r["deficit"] < math.inf for r in window):
+        raise ConfigError(f"scan report {args.input}: fit-window values must be finite and > 0")
     if len(window) < 2:
         raise NumericalError("fewer than two usable points in the fit window")
     x = np.array([r["distance"] for r in window])
     y = np.array([r["deficit"] for r in window])
     slope, stderr = st.fit_loglog(x, y)
+    if math.isnan(slope):
+        raise NumericalError("no slope: all distances in the fit window are equal")
     verdict = st.classify([slope])
     print(f"slope {slope:.4f} +/- {stderr:.1e} over {len(window)} points -> {verdict}")
     return EXIT_OK

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from . import functionals as fn
 from .discretization import DiscreteFunction, SpectralData, frame_eigenpairs, laplace_eigenpairs
@@ -167,36 +167,51 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
     if not np.any(init.values):
         raise ValueError("initial guess is identically zero")
     u = fn.normalize(DiscreteFunction(disc, np.abs(init.values)), spec.q)
-    # W^{1,2}-type preconditioner for the L^2 gradient: the Jacobian at theta = 0
-    M_fact = lu_factor(fn.euler_lagrange_jacobian(spec, u.values, 0.0))
+    fn.check_normalized(spec, u)
     qval = fn.quotient(spec, u)
+    u = u.values
+    # W^{1,2}-type preconditioner for the L^2 gradient: the Jacobian at theta = 0
+    lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, u, 0.0))
+    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
+    # Raw arrays, summed by np.add.reduce (as np.sum does) in the order of
+    # gradient, normalize and quotient, so the iterates are theirs bit for bit;
+    # a non-finite entry makes a sum non-finite, so scalar tests keep their checks.
+    qw, D, q, total = disc.quad_weights, disc.diff_matrix, spec.q, np.add.reduce
     step = 1.0
     iterations = 0
     while iterations < MAX_ITER:
-        g = fn.gradient(spec, u).values
-        res = _l2_norm(spec, g)
+        F = fn.euler_lagrange(spec, u, 0.0)
+        g = F - float(total(qw * u * F)) * fn.power_qm1(u, q)
+        res = math.sqrt(float(total(qw * g * g)))
+        if not math.isfinite(res):
+            raise ValueError("non-finite gradient in projected-gradient descent")
         if res < SWITCH_TOL:
             break
         iterations += 1
-        p = lu_solve(M_fact, g)
-        accepted = False
+        p, info = getrs(lu, piv, g)
+        if info:
+            raise ValueError(f"getrs failed with info {info}")
         for _ in range(40):
-            trial = np.abs(u.values - step * p)
-            if not np.any(trial):
+            trial = np.abs(u - step * p)
+            if not trial.any():
                 step *= 0.5
                 continue
-            trial_u = fn.normalize(DiscreteFunction(disc, trial), spec.q)
-            trial_q = fn.quotient(spec, trial_u)
+            trial = trial / float(total(qw * trial**q) ** (1.0 / q))
+            norm = float(total(qw * trial**q) ** (1.0 / q))
+            if not abs(norm - 1.0) <= fn.NORMALIZATION_TOL:
+                raise ValueError(f"trial is not L^q-normalized: ||u||_q = {norm}")
+            Du = D @ trial
+            trial_q = (spec.A * float(total(qw * Du * Du))
+                       + spec.B * float(total(qw * trial * trial))) / norm**2
             if trial_q <= qval + 1e-14:
-                u, qval = trial_u, trial_q
-                accepted = True
+                u, qval = trial, trial_q
                 step = min(step * 1.5, 4.0)
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
     polished, _ = _bordered_newton(
-        spec, u.values, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), POLISH_NEWTON_MAX
+        spec, u, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), POLISH_NEWTON_MAX
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fn.MixedSignWarning)

@@ -150,10 +150,10 @@ def ray_from_constants(
 
 
 def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log y against log x, with its standard error."""
+    """Least-squares slope of log y against log x and its standard error; NaN if x is constant."""
     lx, ly = np.log(x), np.log(y)
     m = len(lx)
-    if m < 2:
+    if m < 2 or np.all(lx == lx[0]):
         return math.nan, math.nan
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
     slope = float(coeffs[0])

@@ -168,6 +168,37 @@ def test_fit_with_one_usable_point_is_numerical_failure(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _window_rows(distances, first_deficit=1e-4):
+    return {"rows": [
+        {"deficit": first_deficit * (k + 1), "distance": x, "in_fit_window": True}
+        for k, x in enumerate(distances)
+    ]}
+
+
+@pytest.mark.parametrize("first_distance, first_deficit", [
+    (0.0, 1e-4), (-0.01, 1e-4), (0.01, float("inf")),
+], ids=["zero-distance", "negative-distance", "infinite-deficit"])
+def test_fit_bad_window_row_is_config_error(tmp_path, capfd, first_distance, first_deficit):
+    # checked before np.log, so LAPACK prints nothing to the stderr file descriptor
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(_window_rows([first_distance, 0.02, 0.03, 0.04, 0.05], first_deficit)))
+    assert main(["fit", "--input", str(path)]) == EXIT_CONFIG_ERROR
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fit_with_equal_distances_is_numerical_failure(tmp_path, capfd):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(_window_rows([0.01] * 5)))
+    assert main(["fit", "--input", str(path)]) == EXIT_NUMERICAL_ERROR
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_reproduce_single_criterion(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["reproduce", "--only", "strict_binding", "--out", str(out)])

@@ -1,12 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
-from sobolev_lab.discretization import DiscreteFunction, build, laplace_eigenpairs
+from sobolev_lab.discretization import DiscreteFunction, build, inner, laplace_eigenpairs
 from sobolev_lab.functionals import QuotientSpec
 from sobolev_lab.geometry import make_sphere
+from sobolev_lab.stability import bubble
 
 
 def _constant(disc, q):
@@ -126,6 +131,115 @@ def test_minimize_rejects_zero_init(subcritical_spec):
     z = DiscreteFunction(subcritical_spec.disc, np.zeros(subcritical_spec.disc.n))
     with pytest.raises(ValueError):
         opt.minimize(subcritical_spec, z)
+
+
+def _reference_minimize(spec, init):
+    """minimize's projected-gradient loop on DiscreteFunction objects, then its polish.
+
+    Returns (u, value, grad_residual, iterations, converged).
+    """
+    disc = spec.disc
+    u = fn.normalize(DiscreteFunction(disc, np.abs(init.values)), spec.q)
+    M_fact = lu_factor(fn.euler_lagrange_jacobian(spec, u.values, 0.0))
+    qval = fn.quotient(spec, u)
+    step = 1.0
+    iterations = 0
+    while iterations < opt.MAX_ITER:
+        g = fn.gradient(spec, u)
+        if math.sqrt(inner(disc, g, g)) < opt.SWITCH_TOL:
+            break
+        iterations += 1
+        p = lu_solve(M_fact, g.values)
+        accepted = False
+        for _ in range(40):
+            trial = np.abs(u.values - step * p)
+            if not np.any(trial):
+                step *= 0.5
+                continue
+            trial_u = fn.normalize(DiscreteFunction(disc, trial), spec.q)
+            trial_q = fn.quotient(spec, trial_u)
+            if trial_q <= qval + 1e-14:
+                u, qval = trial_u, trial_q
+                accepted = True
+                step = min(step * 1.5, 4.0)
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    polished, _ = opt._bordered_newton(
+        spec, u.values, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), opt.POLISH_NEWTON_MAX
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fn.MixedSignWarning)
+        u = fn.normalize(DiscreteFunction(disc, polished), spec.q)
+    g = fn.gradient(spec, u)
+    grad_residual = math.sqrt(inner(disc, g, g))
+    return u, fn.quotient(spec, u), grad_residual, iterations, grad_residual < opt.GRAD_TOL
+
+
+def _sphere_spec(d, q, n=64, a_factor=1.0):
+    model = make_sphere(d)
+    return QuotientSpec(
+        A=a_factor * cst.a_opt_sphere_closed_form(d, q),
+        B=model.total_volume ** (2.0 / q - 1.0),
+        q=q,
+        disc=build(model, n),
+    )
+
+
+def _first_mode(disc):
+    return laplace_eigenpairs(disc, 2).eigenfunctions[1].values
+
+
+def _random_start(disc, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    phis = np.column_stack([f.values for f in laplace_eigenpairs(disc, 6).eigenfunctions])
+    return 1.0 + phis @ (rng.standard_normal(6) * 0.5 ** np.arange(6))
+
+
+@pytest.mark.parametrize("case", ["sphere-d3-bubble", "sphere-d8-q2.5", "product-d4", "control"])
+def test_minimize_matches_reference_loop(case, critical_product_spec):
+    if case == "sphere-d3-bubble":
+        # the flat quartic valley: every projected-gradient iteration runs
+        spec = _sphere_spec(3, 4.0)
+        init, pg_steps = bubble(spec.disc, 1.0, 0.9).values, (400, 400)
+    elif case == "sphere-d8-q2.5":
+        # hands off to the Newton polish after a few steps
+        spec = _sphere_spec(8, 2.5)
+        init, pg_steps = 1.0 + 0.3 * _first_mode(spec.disc), (1, 20)
+    elif case == "product-d4":
+        spec = critical_product_spec
+        init, pg_steps = 1.0 + 0.3 * _first_mode(spec.disc), (1, 400)
+    else:
+        spec = _sphere_spec(3, 4.0, a_factor=1.1)
+        init, pg_steps = _random_start(spec.disc, 7), (1, 399)
+    u, value, grad_residual, iterations, converged = _reference_minimize(
+        spec, DiscreteFunction(spec.disc, init)
+    )
+    assert pg_steps[0] <= iterations <= pg_steps[1]
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, init))
+    assert np.array_equal(cp.u.values, u.values)
+    assert cp.value == value
+    assert cp.grad_residual == grad_residual
+    assert cp.iterations == iterations
+    assert cp.converged == converged
+
+
+def test_minimize_rejects_non_finite_gradient(subcritical_spec, monkeypatch):
+    real = fn.euler_lagrange
+    calls = []
+
+    def poisoned(spec, u, theta):
+        calls.append(theta)
+        F = real(spec, u, theta)
+        return F if len(calls) == 1 else np.full_like(F, np.nan)
+
+    monkeypatch.setattr(fn, "euler_lagrange", poisoned)
+    init = bubble(subcritical_spec.disc, 1.0, 0.9)
+    with pytest.raises(ValueError, match="non-finite"):
+        opt.minimize(subcritical_spec, init)
+    # raised by the second gradient of the projected-gradient loop
+    assert len(calls) == 2
 
 
 def test_critical_point_json(subcritical_spec):

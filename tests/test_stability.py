@@ -191,6 +191,11 @@ def test_fit_loglog_recovers_power_law():
     assert stderr < 1e-12
 
 
+def test_fit_loglog_is_nan_when_all_x_are_equal():
+    slope, stderr = st.fit_loglog(np.full(5, 0.01), np.geomspace(1e-4, 1e-2, 5))
+    assert math.isnan(slope) and math.isnan(stderr)
+
+
 def test_ray_scan_degenerate_slope_and_report(subcritical_spec):
     ray = st.ray_from_constants(subcritical_spec)
     rep = st.ray_scan(subcritical_spec, ray, "constants")
@@ -235,6 +240,15 @@ def test_ray_scan_inconclusive_below_noise_floor(subcritical_spec):
     assert rep.classification == "inconclusive"
     assert math.isnan(rep.fitted_slope)
     assert not any(r["in_fit_window"] for r in rep.rows)
+
+
+def test_ray_scan_inconclusive_when_distances_are_equal(subcritical_spec, monkeypatch):
+    monkeypatch.setattr(st, "distance_to_extremals", lambda u, family: 0.01)
+    ray = st.ray_from_constants(subcritical_spec, epsilons=np.geomspace(1e-2, 1e-1, 5))
+    rep = st.ray_scan(subcritical_spec, ray, "constants")
+    assert sum(r["in_fit_window"] for r in rep.rows) == 5
+    assert rep.classification == "inconclusive"
+    assert math.isnan(rep.fitted_slope)
 
 
 def test_lojasiewicz_estimate_quartic(subcritical_spec):
