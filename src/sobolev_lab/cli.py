@@ -104,8 +104,8 @@ def _build_disc(cfg: dict):
 
 
 def _resolve_q(cfg: dict, model) -> float:
-    """cfg["q"], or 2* when it is not positive; it must lie in (2, 2*]."""
-    q = cfg["q"] if cfg["q"] > 0 else sobolev_conjugate(model.dim)
+    """cfg["q"], or 2* when it is <= 0; it must lie in (2, 2*], so NaN is rejected."""
+    q = sobolev_conjugate(model.dim) if cfg["q"] <= 0 else cfg["q"]
     try:
         check_exponent(q, model.dim)
     except ValueError as exc:
@@ -114,19 +114,15 @@ def _resolve_q(cfg: dict, model) -> float:
     return q
 
 
-def _build_spec(cfg: dict):
+def _build_spec(cfg: dict) -> QuotientSpec:
+    """The spec of cfg; an A or B <= 0 selects the default_spec value, and NaN is rejected."""
     model, disc = _build_disc(cfg)
-    q = _resolve_q(cfg, model)
-    A = cfg.get("A", 0.0)
-    if A <= 0:
-        A, _ = cst.a_opt_default(model, disc, q)
-        cfg["A"] = A
-    B = cfg.get("B", 0.0)
-    if B <= 0:
-        B = model.total_volume ** (2.0 / q - 1.0)
-        cfg["B"] = B
+    spec = cst.default_spec(disc, _resolve_q(cfg, model))
+    for key in ("A", "B"):
+        if cfg[key] <= 0:
+            cfg[key] = getattr(spec, key)
     try:
-        return QuotientSpec(A=A, B=B, q=q, disc=disc), model, disc
+        return dataclasses.replace(spec, A=cfg["A"], B=cfg["B"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -181,11 +177,11 @@ def cmd_minimize(args) -> int:
         "init": "constant", "seed": 0, "multistart": False,
     }
     cfg = _resolve(args, defaults)
-    spec, _, disc = _build_spec(cfg)
+    spec = _build_spec(cfg)
     if cfg["multistart"]:
         cp = opt.multistart_minimize(spec, seed=cfg["seed"])
     else:
-        cp = opt.minimize(spec, _initial_guess(cfg, disc))
+        cp = opt.minimize(spec, _initial_guess(cfg, spec.disc))
     if not math.isfinite(cp.value):
         raise NumericalError("minimization produced a non-finite value")
     payload = {
@@ -237,13 +233,14 @@ def cmd_scan(args) -> int:
         )
     if cfg["family"] == "bubbles_and_constants" and cfg["model"] != "sphere":
         raise ConfigError("family bubbles_and_constants needs the sphere model")
-    if not 0 < cfg["eps_lo"] < cfg["eps_hi"]:
-        raise ConfigError("need 0 < eps_lo < eps_hi")
+    if not 0 < cfg["eps_lo"] < cfg["eps_hi"] < math.inf:
+        raise ConfigError("need 0 < eps_lo < eps_hi < inf")
     if cfg["eps_count"] < st.MIN_FIT_POINTS:
         raise ConfigError(f"eps_count must be >= {st.MIN_FIT_POINTS}, got {cfg['eps_count']}")
-    spec, _, disc = _build_spec(cfg)
-    if not 1 <= cfg["mode_index"] < disc.n:
-        raise ConfigError(f"mode_index must be in [1, {disc.n - 1}], got {cfg['mode_index']}")
+    spec = _build_spec(cfg)
+    n = spec.disc.n
+    if not 1 <= cfg["mode_index"] < n:
+        raise ConfigError(f"mode_index must be in [1, {n - 1}], got {cfg['mode_index']}")
     ray = st.ray_from_constants(
         spec,
         mode_index=cfg["mode_index"],

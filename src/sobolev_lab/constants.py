@@ -10,7 +10,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 from . import discretization as dz
 from .discretization import DiscreteFunction, Discretization, laplace_eigenpairs
-from .functionals import check_exponent, sobolev_conjugate
+from .functionals import QuotientSpec, check_exponent, sobolev_conjugate
 from .geometry import ManifoldModel, ModelKind, make_product, unit_sphere_volume
 
 
@@ -210,6 +210,13 @@ def a_opt_default(model: ManifoldModel, disc: Discretization, q: float) -> tuple
     if abs(q - sobolev_conjugate(model.dim)) < 1e-12:
         return a_opt_product_critical(model.dim), "product-critical"
     return a_opt_spectral_gap(disc, q), "spectral-gap"
+
+
+def default_spec(disc: Discretization, q: float, a_factor: float = 1.0) -> QuotientSpec:
+    """A = a_factor * A_opt and B = Vol^{2/q-1}: with a_factor 1, constants have Q = 1."""
+    model = disc.model
+    a_opt, _ = a_opt_default(model, disc, q)
+    return QuotientSpec(A=a_factor * a_opt, B=model.total_volume ** (2.0 / q - 1.0), q=q, disc=disc)
 
 
 def constants_report(

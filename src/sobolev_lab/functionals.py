@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    DiscreteFunction,
-    Discretization,
-    gradient_norm_sq,
-    inner,
-    lp_norm,
-)
+from .discretization import DiscreteFunction, Discretization, _check_same, lp_norm
 
 POWER_FLOOR = 1e-300
 SMALL_VALUE_FLAG = 1e-8
@@ -72,19 +66,38 @@ def _nonzero(u: DiscreteFunction) -> None:
         raise ValueError("function is identically zero")
 
 
-def quotient(spec: QuotientSpec, u: DiscreteFunction) -> float:
+def quotient_parts(spec: QuotientSpec, U: np.ndarray, DU: np.ndarray):
+    """A ||Du||_W^2 + B ||u||_W^2 and ||u||_q for each row u of U, with DU = U D^T.
+
+    Q is the first over the square of the second.  Rows are summed by
+    np.add.reduce, as np.sum does, and each root is a scalar pow, as in
+    lp_norm (numpy's array pow differs in the last bit), so one row gives the
+    bits of gradient_norm_sq, inner and lp_norm.  Square the norm as a scalar
+    too: array ** 2 is x * x, not C pow.
+    """
+    w, total, root = spec.disc.quad_weights, np.add.reduce, 1.0 / spec.q
+    num = spec.A * total(w * DU * DU, axis=-1) + spec.B * total(w * U * U, axis=-1)
+    sums = total(w * np.abs(U) ** spec.q, axis=-1)
+    if U.ndim == 1:
+        return num, sums**root
+    return num, np.array([s**root for s in sums.tolist()])
+
+
+def _num_and_denom(spec: QuotientSpec, u: DiscreteFunction) -> tuple[float, float]:
+    _check_same(spec.disc, u)
     _nonzero(u)
-    disc = spec.disc
-    num = spec.A * gradient_norm_sq(disc, u) + spec.B * inner(disc, u, u)
-    return num / lp_norm(disc, u, spec.q) ** 2
+    num, norm = quotient_parts(spec, u.values, spec.disc.diff_matrix @ u.values)
+    return float(num), float(norm) ** 2
+
+
+def quotient(spec: QuotientSpec, u: DiscreteFunction) -> float:
+    num, denom = _num_and_denom(spec, u)
+    return num / denom
 
 
 def deficit(spec: QuotientSpec, u: DiscreteFunction) -> float:
     """Q(u) - 1 with a single subtraction, stable near extremals."""
-    _nonzero(u)
-    disc = spec.disc
-    num = spec.A * gradient_norm_sq(disc, u) + spec.B * inner(disc, u, u)
-    denom = lp_norm(disc, u, spec.q) ** 2
+    num, denom = _num_and_denom(spec, u)
     return (num - denom) / denom
 
 

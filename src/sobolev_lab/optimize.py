@@ -174,8 +174,8 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
     lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, u, 0.0))
     (getrs,) = get_lapack_funcs(("getrs",), (lu,))
     # Raw arrays, summed by np.add.reduce (as np.sum does) in the order of
-    # gradient, normalize and quotient, so the iterates are theirs bit for bit;
-    # a non-finite entry makes a sum non-finite, so scalar tests keep their checks.
+    # gradient and normalize, so the iterates are theirs bit for bit; a
+    # non-finite entry makes a sum non-finite, so scalar tests keep their checks.
     qw, D, q, total = disc.quad_weights, disc.diff_matrix, spec.q, np.add.reduce
     step = 1.0
     iterations = 0
@@ -197,12 +197,11 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
                 step *= 0.5
                 continue
             trial = trial / float(total(qw * trial**q) ** (1.0 / q))
-            norm = float(total(qw * trial**q) ** (1.0 / q))
+            num, norm = fn.quotient_parts(spec, trial, D @ trial)
+            norm = float(norm)
             if not abs(norm - 1.0) <= fn.NORMALIZATION_TOL:
                 raise ValueError(f"trial is not L^q-normalized: ||u||_q = {norm}")
-            Du = D @ trial
-            trial_q = (spec.A * float(total(qw * Du * Du))
-                       + spec.B * float(total(qw * trial * trial))) / norm**2
+            trial_q = float(num) / norm**2
             if trial_q <= qval + 1e-14:
                 u, qval = trial, trial_q
                 step = min(step * 1.5, 4.0)

@@ -48,11 +48,7 @@ def _case(name, fn_check):
 
 
 def _sphere_subcritical_spec(n: int, d: int = 3, q: float = 4.0) -> QuotientSpec:
-    model = make_sphere(d)
-    disc = build(model, n)
-    A = cst.a_opt_sphere_closed_form(d, q)
-    B = model.total_volume ** (2.0 / q - 1.0)
-    return QuotientSpec(A=A, B=B, q=q, disc=disc)
+    return cst.default_spec(build(make_sphere(d), n), q)
 
 
 def check_spectral_gap(n: int = 256):
@@ -114,16 +110,9 @@ def _fd_quotients(spec, u, du, phi, dphi, steps):
 
 def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
     worst_g, worst_h = 0.0, 0.0
-    model_p = make_product(4)
-    disc_p = build(model_p, n if n % 2 == 0 else n + 1)
     specs = [
         _sphere_subcritical_spec(n, 3, 4.0),
-        QuotientSpec(
-            A=cst.a_opt_spectral_gap(disc_p, 3.5),
-            B=model_p.total_volume ** (2.0 / 3.5 - 1.0),
-            q=3.5,
-            disc=disc_p,
-        ),
+        cst.default_spec(build(make_product(4), n if n % 2 == 0 else n + 1), 3.5),
     ]
     # Richardson-combined central differences at steps h and 2h
     h1, h2 = 5e-5, 5e-4
@@ -183,11 +172,7 @@ def check_sphere_degenerate_slope(n: int = 256):
 
 
 def check_product_degenerate_slope(n: int = 128):
-    model = make_product(4)
-    disc = build(model, n)
-    spec = QuotientSpec(
-        A=cst.a_opt_product_critical(4), B=cst.beta_constant(model), q=4.0, disc=disc
-    )
+    spec = cst.default_spec(build(make_product(4), n), 4.0)
     ray = st.ray_from_constants(spec)
     rep = st.ray_scan(spec, ray, "constants")
     tol = _slope_tol(max(n, 256))  # Fourier rule resolves the circle mode exactly
@@ -196,15 +181,8 @@ def check_product_degenerate_slope(n: int = 128):
 
 
 def check_nondegenerate_control(n: int = 128, seed: int = 7):
-    model = make_sphere(3)
-    disc = build(model, n)
-    q = 4.0
-    spec = QuotientSpec(
-        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
-        B=model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=disc,
-    )
+    spec = cst.default_spec(build(make_sphere(3), n), 4.0, a_factor=1.1)
+    disc = spec.disc
     ray = st.ray_from_constants(spec)
     rep = st.ray_scan(spec, ray, "constants")
     sd = laplace_eigenpairs(disc, 6)
@@ -246,7 +224,7 @@ def check_b_estimator(n: int = 64, budget: int = 4):
 
 def check_deficit_nonnegativity(n: int = 64, count: int = 10_000, seed: int = 42):
     spec = _sphere_subcritical_spec(n)
-    disc, w, q = spec.disc, spec.disc.quad_weights, spec.q
+    disc = spec.disc
     phis = np.column_stack([f.values for f in laplace_eigenpairs(disc, 10).eigenfunctions])
     rng = np.random.Generator(np.random.Philox(seed))
     worst = math.inf
@@ -255,9 +233,8 @@ def check_deficit_nonnegativity(n: int = 64, count: int = 10_000, seed: int = 42
         z = rng.standard_normal((min(DEFICIT_CHUNK_ROWS, count - first), 11))
         U = (z[:, :10] * 0.5 ** np.arange(10)) @ phis.T + 0.01 * z[:, 10:]
         U = U[np.any(U, axis=1)]
-        DU = U @ disc.diff_matrix.T
-        num = spec.A * ((DU * DU) @ w) + spec.B * ((U * U) @ w)
-        denom = ((np.abs(U) ** q) @ w) ** (2.0 / q)
+        num, norm = fn.quotient_parts(spec, U, U @ disc.diff_matrix.T)
+        denom = np.array([s**2 for s in norm.tolist()])
         worst = float(np.min((num - denom) / denom, initial=worst))
     return worst >= -1e-8, worst, f"min deficit over {count} seeded functions"
 

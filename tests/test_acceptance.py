@@ -106,6 +106,27 @@ def test_deficit_check_matches_the_per_sample_loop(chunk_rows, monkeypatch):
     assert value == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
+def test_norms_are_squared_by_scalar_pow(monkeypatch):
+    # fn.deficit and the batched check square ||u||_q as a scalar, which is C pow;
+    # numpy's array ** 2 is x * x and differs from it in the last bit for some x
+    x = np.random.Generator(np.random.Philox(0)).uniform(1.0, 2.0, 200_000)
+    pow_sq = np.array([v**2 for v in x.tolist()])
+    differs = x * x != pow_sq
+    if not differs.any():
+        pytest.skip("this platform's pow squares every sample exactly")
+    norm = np.resize(x[differs], 300)
+    num = np.resize(pow_sq[differs], 300)
+    assert np.min((num - norm * norm) / (norm * norm)) < 0.0
+    # with the numerator equal to the C-pow square, every deficit is exactly zero
+    monkeypatch.setattr(fn, "quotient_parts", lambda spec, U, DU: (
+        (num[0], norm[0]) if U.ndim == 1 else (num[: len(U)], norm[: len(U)])
+    ))
+    spec = rep._sphere_subcritical_spec(64)
+    assert fn.deficit(spec, DiscreteFunction(spec.disc, np.ones(spec.disc.n))) == 0.0
+    passed, value, _ = rep.check_deficit_nonnegativity(count=300)
+    assert passed and value == 0.0
+
+
 def test_suite_runtime_budget(suite):
     by_name, elapsed = suite
     results = list(by_name.values())

@@ -81,6 +81,13 @@ def test_wrong_config_type_rejected(tmp_path):
     assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
 
 
+def test_nan_q_in_config_rejected(tmp_path):
+    # only q <= 0 selects 2*; NaN is out of range, as from the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": float("nan"), "n": 64}))
+    assert main(["minimize", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+
+
 def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -287,6 +294,12 @@ def test_thread_cap_is_set_before_blas_loads():
     ["scan", "--model", "product", "--d", "4", "--n", "64", "--family", "bubbles_and_constants"],
     ["scan", "--n", "64", "--eps-count", "-1"],
     ["scan", "--n", "64", "--eps-count", "4"],
+    ["scan", "--n", "64", "--q", "4", "--eps-hi", "inf"],
+    ["scan", "--n", "64", "--q", "nan"],
+    ["minimize", "--n", "64", "--q", "nan"],
+    ["constants", "--n", "64", "--q", "nan"],
+    ["minimize", "--n", "64", "--q", "4", "--A", "nan"],
+    ["minimize", "--n", "64", "--q", "4", "--B", "nan"],
 ])
 def test_out_of_range_input_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG_ERROR

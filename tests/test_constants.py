@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sobolev_lab import constants as cst
-from sobolev_lab.discretization import laplace_eigenpairs
-from sobolev_lab.geometry import make_product
+from sobolev_lab import functionals as fn
+from sobolev_lab.discretization import DiscreteFunction, build, laplace_eigenpairs
+from sobolev_lab.geometry import make_product, make_sphere
 
 
 def test_euclidean_constant_oracle():
@@ -153,3 +154,29 @@ def test_constants_report_product_provenance(product4, product4_disc):
     assert subcrit.A_opt == pytest.approx(
         1.0 / 2.0 * product4.total_volume ** (2.0 / 3.0 - 1.0), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("model, d, q", [
+    ("sphere", 3, 2.5), ("sphere", 3, 4.0), ("sphere", 3, None),
+    ("sphere", 8, 2.5), ("sphere", 8, None),
+    ("product", 4, 3.5), ("product", 4, None),
+])
+def test_default_spec_gives_constants_quotient_one(model, d, q):
+    # q = 4 lies above 2* = 8/3 on S^8, so that case is the rejection below
+    disc = build(make_sphere(d) if model == "sphere" else make_product(d), 64)
+    q = fn.sobolev_conjugate(d) if q is None else q
+    spec = cst.default_spec(disc, q)
+    assert spec.disc is disc and spec.q == q
+    assert abs(fn.quotient(spec, DiscreteFunction(disc, np.ones(disc.n))) - 1.0) <= 1e-14
+
+
+def test_default_spec_rejects_q_above_the_critical_exponent():
+    with pytest.raises(ValueError):
+        cst.default_spec(build(make_sphere(8), 64), 4.0)
+
+
+def test_default_spec_a_factor_scales_a_only(product4_disc):
+    base = cst.default_spec(product4_disc, 3.5)
+    scaled = cst.default_spec(product4_disc, 3.5, a_factor=1.1)
+    assert scaled.A == 1.1 * base.A
+    assert scaled.B == base.B and scaled.q == base.q and scaled.disc is base.disc

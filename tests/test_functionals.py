@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from sobolev_lab import discretization as dz
 from sobolev_lab import functionals as fn
 from sobolev_lab.discretization import DiscreteFunction, laplace_eigenpairs
 from sobolev_lab.functionals import (
@@ -43,6 +44,43 @@ def test_deficit_matches_quotient_minus_one(subcritical_spec, rng):
     assert fn.deficit(subcritical_spec, u) == pytest.approx(
         fn.quotient(subcritical_spec, u) - 1.0, rel=1e-10
     )
+
+
+def _samples(disc, rng, count=40):
+    """Positive, mixed-sign and negative functions made from low Laplace modes and noise."""
+    phis = np.column_stack([f.values for f in laplace_eigenpairs(disc, 6).eigenfunctions])
+    offsets = np.resize([1.0, 0.1, 0.0, -1.0], count)[:, None]
+    smooth = (0.4 * rng.standard_normal((count, 6))) @ phis.T
+    return offsets + smooth + 0.01 * rng.standard_normal((count, disc.n))
+
+
+@pytest.mark.parametrize("spec_name", [
+    "subcritical_spec", "critical_sphere_spec", "critical_product_spec",
+])
+def test_quotient_and_deficit_match_the_quadrature_formula(spec_name, request, rng):
+    # bit for bit against (A ||Du||^2 + B ||u||^2) / ||u||_q^2 from the quadrature helpers
+    spec = request.getfixturevalue(spec_name)
+    disc = spec.disc
+    samples = _samples(disc, rng)
+    assert np.any(np.all(samples > 0, axis=1)) and np.any(np.ptp(np.sign(samples), axis=1) == 2)
+    for values in samples:
+        u = DiscreteFunction(disc, values)
+        num = spec.A * dz.gradient_norm_sq(disc, u) + spec.B * dz.inner(disc, u, u)
+        denom = dz.lp_norm(disc, u, spec.q) ** 2
+        assert fn.quotient(spec, u) == num / denom
+        assert fn.deficit(spec, u) == (num - denom) / denom
+
+
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+def test_quotient_parts_of_a_stack_match_each_row(spec_name, request, rng):
+    spec = request.getfixturevalue(spec_name)
+    U = _samples(spec.disc, rng, count=200)
+    DU = U @ spec.disc.diff_matrix.T
+    num, norm = fn.quotient_parts(spec, U, DU)
+    assert num.shape == norm.shape == (200,)
+    rows = [fn.quotient_parts(spec, u, du) for u, du in zip(U, DU)]
+    np.testing.assert_array_equal(num, [r[0] for r in rows])
+    np.testing.assert_array_equal(norm, [r[1] for r in rows])
 
 
 @settings(max_examples=20, deadline=None)
