@@ -178,10 +178,14 @@ def cmd_minimize(args) -> int:
     }
     cfg = _resolve(args, defaults)
     spec = _build_spec(cfg)
-    if cfg["multistart"]:
-        cp = opt.multistart_minimize(spec, seed=cfg["seed"])
-    else:
-        cp = opt.minimize(spec, _initial_guess(cfg, spec.disc))
+    init = None if cfg["multistart"] else _initial_guess(cfg, spec.disc)
+    try:  # the inputs are checked by now, so a ValueError of the solver is numerical
+        if init is None:
+            cp = opt.multistart_minimize(spec, seed=cfg["seed"])
+        else:
+            cp = opt.minimize(spec, init)
+    except ValueError as exc:
+        raise NumericalError(str(exc)) from exc
     if not math.isfinite(cp.value):
         raise NumericalError("minimization produced a non-finite value")
     payload = {
@@ -284,7 +288,7 @@ def cmd_fit(args) -> int:
     slope, stderr = st.fit_loglog(x, y)
     if math.isnan(slope):
         raise NumericalError("no slope: all distances in the fit window are equal")
-    verdict = st.classify([slope])
+    verdict = st.classify(slope)
     print(f"slope {slope:.4f} +/- {stderr:.1e} over {len(window)} points -> {verdict}")
     return EXIT_OK
 

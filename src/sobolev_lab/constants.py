@@ -9,6 +9,7 @@ import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from . import discretization as dz
+from . import functionals as fn
 from .discretization import DiscreteFunction, Discretization, laplace_eigenpairs
 from .functionals import QuotientSpec, check_exponent, sobolev_conjugate
 from .geometry import ManifoldModel, ModelKind, make_product, unit_sphere_volume
@@ -134,7 +135,7 @@ def estimate_b_opt(
     Each start and each end point is re-evaluated by `_b_objective`, and the
     best of those values is returned: every one is the ratio at an actual u,
     hence a valid lower bound. Monotone nondecreasing in `budget`
-    (best-so-far over seeds 0..budget-1).
+    (best-so-far over seeds 0..budget-1). `model` is not read: `disc` carries it.
     """
     spec_data = laplace_eigenpairs(disc, min(n_modes, disc.n))
     phi_mat = np.column_stack([f.values for f in spec_data.eigenfunctions])
@@ -150,13 +151,8 @@ def estimate_b_opt(
         if j < k:
             starts.append(eye[0] + 0.3 * eye[j])
             starts.append(eye[0] - 0.3 * eye[j])
-    if model.kind is ModelKind.SPHERE_RADIAL:
-        from .stability import bubble
-
-        for b in (0.3, 0.6, 0.9):
-            bub = bubble(disc, 1.0, b).values
-            # quadrature-orthonormal eigenfunctions: project by L^2 pairing
-            starts.append(phi_mat.T @ (w * bub))
+    # quadrature-orthonormal eigenfunctions: project by L^2 pairing
+    starts += [phi_mat.T @ (w * bub) for bub in fn.bubble_starts(disc)]
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(budget):
         starts.append(eye[0] + 0.2 * rng.standard_normal(k))

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import DiscreteFunction, Discretization, _check_same, lp_norm
+from .geometry import ModelKind
 
 POWER_FLOOR = 1e-300
 SMALL_VALUE_FLAG = 1e-8
 NORMALIZATION_TOL = 1e-8
+BUBBLE_STARTS = (0.3, 0.6, 0.9)  # b of the bubble starts of the solvers
 
 
 class MixedSignWarning(UserWarning):
@@ -59,6 +61,19 @@ class QuotientSpec:
         if not (self.B > 0 and np.isfinite(self.B)):
             raise ValueError(f"B must be finite positive, got {self.B}")
         check_exponent(self.q, self.disc.model.dim)
+
+
+def bubble_profile(cos_t: np.ndarray, b: float, d: int) -> np.ndarray:
+    """Sphere extremal profile (1 - b cos t)^{(2-d)/2}, pole at t = 0."""
+    return (1.0 - b * cos_t) ** ((2.0 - d) / 2.0)
+
+
+def bubble_starts(disc: Discretization) -> list:
+    """Bubble profiles for b in BUBBLE_STARTS on the sphere; none on the product."""
+    if disc.model.kind is not ModelKind.SPHERE_RADIAL:
+        return []
+    cos_t = np.cos(disc.nodes)
+    return [bubble_profile(cos_t, b, disc.model.dim) for b in BUBBLE_STARTS]
 
 
 def _nonzero(u: DiscreteFunction) -> None:

@@ -24,7 +24,6 @@ from scipy.linalg import get_lapack_funcs, lu_factor
 from . import functionals as fn
 from .discretization import DiscreteFunction, SpectralData, frame_eigenpairs, laplace_eigenpairs
 from .functionals import QuotientSpec
-from .geometry import ModelKind
 
 KERNEL_THRESHOLD = 1e-6
 NEWTON_MAX = 60
@@ -246,12 +245,7 @@ def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2
     const = np.ones(disc.n)
     spec_data = laplace_eigenpairs(disc, min(6, disc.n))
     phi1 = spec_data.eigenfunctions[1].values
-    starts = [const, const + 0.3 * phi1, const - 0.3 * phi1]
-    if disc.model.kind is ModelKind.SPHERE_RADIAL:
-        from .stability import bubble
-
-        for b in (0.3, 0.6, 0.9):
-            starts.append(bubble(disc, 1.0, b).values)
+    starts = [const, const + 0.3 * phi1, const - 0.3 * phi1, *fn.bubble_starts(disc)]
     rng = np.random.Generator(np.random.Philox(seed))
     phis = np.column_stack([f.values for f in spec_data.eigenfunctions])
     for _ in range(extra_starts):

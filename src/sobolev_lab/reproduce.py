@@ -87,7 +87,7 @@ def check_bubble_extremality(n: int = 256):
         q=6.0,
         disc=disc,
     )
-    worst = max(abs(fn.deficit(spec, st.bubble(disc, 1.0, b))) for b in (0.3, 0.6, 0.9))
+    worst = max(abs(fn.deficit(spec, st.bubble(disc, 1.0, b))) for b in fn.BUBBLE_STARTS)
     return worst < 1e-6, worst, "max |Q(bubble) - 1| over b in {0.3, 0.6, 0.9}"
 
 

@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functionals as fn
-from .discretization import (
-    DiscreteFunction,
-    Discretization,
-    gradient_norm_sq,
-    inner,
-    laplace_eigenpairs,
-)
+from .discretization import DiscreteFunction, Discretization, _check_same, laplace_eigenpairs
 from .functionals import QuotientSpec
 from .geometry import ModelKind
 from .optimize import CriticalPoint, reduced_functional
@@ -36,10 +30,6 @@ MIN_FIT_POINTS = 5  # a ray scan fits its exponent to at least this many points
 LOJASIEWICZ_SAMPLING = np.geomspace(0.02, 0.2, 10)
 
 
-def _bubble_values(cos_t: np.ndarray, b: float, d: int) -> np.ndarray:
-    return (1.0 - b * cos_t) ** ((2.0 - d) / 2.0)
-
-
 def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
     """Spherical extremal a*(1 - b*cos t)^{(2-d)/2}, pole frozen at t = 0."""
     if disc.model.kind is not ModelKind.SPHERE_RADIAL:
@@ -48,18 +38,20 @@ def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
         raise ValueError("amplitude a must be nonzero")
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got {b}")
-    return DiscreteFunction(disc, a * _bubble_values(np.cos(disc.nodes), b, disc.model.dim))
-
-
-def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
-    return gradient_norm_sq(disc, u) + inner(disc, u, u)
+    return DiscreteFunction(disc, a * fn.bubble_profile(np.cos(disc.nodes), b, disc.model.dim))
 
 
 def _w12_pair(wf: np.ndarray, h: np.ndarray) -> float:
     # W^{1,2} pairing of rows [f; Df] times the weights with rows [h; Dh], summed
-    # in w12_norm_sq's order (np.add.reduce is np.sum's), so bit for bit equal
+    # as gradient_norm_sq + inner (np.add.reduce is np.sum's), so bit for bit equal
     s = np.add.reduce(wf * h, axis=1)
     return float(s[1]) + float(s[0])
+
+
+def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
+    _check_same(disc, u)
+    uu = np.stack([u.values, disc.diff_matrix @ u.values])
+    return _w12_pair(disc.quad_weights * uu, uu)
 
 
 def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> float:
@@ -73,7 +65,7 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     wu, g, r = w * u, np.empty_like(u), np.empty_like(u)
 
     def dist_at(b: float) -> float:
-        g[0] = _bubble_values(cos_t, b, d)
+        g[0] = fn.bubble_profile(cos_t, b, d)
         np.matmul(D, g[0], out=g[1])
         a = _w12_pair(wu, g) / _w12_pair(w * g, g)
         np.subtract(u[0], a * g[0], out=r[0])
@@ -186,7 +178,8 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _classify_slope(slope: float) -> str:
+def classify(slope: float) -> str:
+    """Verdict on a fitted exponent: nondegenerate within CLASSIFY_MARGIN of 2, degenerate above."""
     if math.isnan(slope):
         return "inconclusive"
     if abs(slope - 2.0) <= CLASSIFY_MARGIN:
@@ -239,7 +232,7 @@ def ray_scan(spec: QuotientSpec, ray: Ray, family: str = "constants") -> Experim
         fitted_slope=slope,
         slope_stderr=stderr,
         fit_window=fit_window,
-        classification=_classify_slope(slope),
+        classification=classify(slope),
         metadata=_scan_metadata(spec, family, floor),
     )
 
@@ -284,15 +277,3 @@ def lojasiewicz_estimate(spec: QuotientSpec, v: CriticalPoint) -> float:
     slope, _ = fit_loglog(np.array(ts), np.array(gaps))
     return slope
 
-
-def classify(exponents) -> str:
-    """Aggregate fitted exponents into a degeneracy verdict."""
-    exponents = [e for e in exponents if not math.isnan(e)]
-    if not exponents:
-        return "inconclusive"
-    verdicts = {_classify_slope(e) for e in exponents}
-    if verdicts == {"degenerate"}:
-        return "degenerate"
-    if verdicts == {"nondegenerate"}:
-        return "nondegenerate"
-    return "inconclusive"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sobolev_lab import constants as cst
-from sobolev_lab.discretization import build
+from sobolev_lab.discretization import DiscreteFunction, build
 from sobolev_lab.functionals import QuotientSpec
 from sobolev_lab.geometry import make_product, make_sphere
+from sobolev_lab.optimize import minimize
 
 
 @pytest.fixture(scope="session")
@@ -30,30 +31,13 @@ def product4_disc(product4):
 @pytest.fixture(scope="session")
 def subcritical_spec(sphere3_disc):
     """Sphere spec (A_opt, beta-compatible B) at q = 4 < 2* = 6; degenerate."""
-    model = sphere3_disc.model
-    q = 4.0
-    return QuotientSpec(
-        A=cst.a_opt_sphere_closed_form(3, q),
-        B=model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=sphere3_disc,
-    )
+    return cst.default_spec(sphere3_disc, 4.0)
 
 
 @pytest.fixture(scope="session")
 def fine_degenerate_point():
     """(spec, critical point) of the degenerate sphere spec at n = 512, from constants."""
-    from sobolev_lab.discretization import DiscreteFunction
-    from sobolev_lab.optimize import minimize
-
-    model = make_sphere(3)
-    q = 4.0
-    spec = QuotientSpec(
-        A=cst.a_opt_sphere_closed_form(3, q),
-        B=model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=build(model, 512),
-    )
+    spec = cst.default_spec(build(make_sphere(3), 512), 4.0)
     return spec, minimize(spec, DiscreteFunction(spec.disc, np.ones(512)))
 
 
@@ -70,12 +54,7 @@ def critical_sphere_spec(sphere3_disc):
 
 @pytest.fixture(scope="session")
 def critical_product_spec(product4_disc):
-    return QuotientSpec(
-        A=cst.a_opt_product_critical(4),
-        B=cst.beta_constant(product4_disc.model),
-        q=4.0,
-        disc=product4_disc,
-    )
+    return cst.default_spec(product4_disc, 4.0)
 
 
 @pytest.fixture()

@@ -206,6 +206,18 @@ def test_fit_with_equal_distances_is_numerical_failure(tmp_path, capfd):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--n", "64", "--q", "4", "--A", "1e300"],
+    ["minimize", "--n", "64", "--q", "4", "--B", "1e300"],
+    ["minimize", "--n", "64", "--q", "4", "--A", "1e300", "--multistart"],
+], ids=["huge-A", "huge-B", "huge-A-multistart"])
+def test_minimize_solver_value_error_is_numerical_failure(argv, capsys):
+    assert main(argv) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: non-finite gradient in projected-gradient descent\n"
+
+
 def test_reproduce_single_criterion(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["reproduce", "--only", "strict_binding", "--out", str(out)])

@@ -1,5 +1,6 @@
 """Every module-level import in the package and the tests is read somewhere,
-and the CLI is the only package module that imports json."""
+the package imports its own modules at module level only, and the CLI is the
+only package module that imports json."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,18 @@ def test_module_level_imports_are_read():
     files += (ROOT / "tests").glob("*.py")
     unused = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in sorted(files)}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_no_package_module_is_imported_inside_a_function():
+    local = []
+    for path in sorted((ROOT / "src" / "sobolev_lab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        local += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level >= 1 and id(node) not in top
+        ]
+    assert local == []
 
 
 def test_only_the_cli_imports_json():

@@ -9,7 +9,6 @@ from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab.discretization import DiscreteFunction, build, inner, laplace_eigenpairs
-from sobolev_lab.functionals import QuotientSpec
 from sobolev_lab.geometry import make_sphere
 from sobolev_lab.stability import bubble
 
@@ -65,27 +64,16 @@ def test_kernel_basis_degenerate_constant(subcritical_spec):
 
 def test_kernel_empty_off_optimal(sphere3_disc):
     q = 4.0
-    spec = QuotientSpec(
-        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
-        B=sphere3_disc.model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=sphere3_disc,
-    )
+    spec = cst.default_spec(sphere3_disc, q, 1.1)
     c = _constant(sphere3_disc, q)
     assert opt.kernel_basis_at(spec, c) == []
 
 
 def test_kernel_empty_off_optimal_at_fine_resolution():
     # the kernel cut must not grow with n: lambda_1 = 0.090 here at every n
-    model = make_sphere(3)
-    disc = build(model, 1024)
+    disc = build(make_sphere(3), 1024)
     q = 4.0
-    spec = QuotientSpec(
-        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
-        B=model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=disc,
-    )
+    spec = cst.default_spec(disc, q, 1.1)
     assert opt.kernel_basis_at(spec, _constant(disc, q)) == []
 
 
@@ -111,13 +99,7 @@ def test_minimize_recovers_constant_from_perturbation(subcritical_spec, rng):
 
 
 def test_minimize_nondegenerate_kernel_empty(sphere3_disc, rng):
-    q = 4.0
-    spec = QuotientSpec(
-        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
-        B=sphere3_disc.model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=sphere3_disc,
-    )
+    spec = cst.default_spec(sphere3_disc, 4.0, 1.1)
     init = DiscreteFunction(
         sphere3_disc, 1.0 + 0.1 * np.cos(sphere3_disc.nodes)
     )
@@ -178,13 +160,7 @@ def _reference_minimize(spec, init):
 
 
 def _sphere_spec(d, q, n=64, a_factor=1.0):
-    model = make_sphere(d)
-    return QuotientSpec(
-        A=a_factor * cst.a_opt_sphere_closed_form(d, q),
-        B=model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=build(model, n),
-    )
+    return cst.default_spec(build(make_sphere(d), n), q, a_factor)
 
 
 def _first_mode(disc):
@@ -287,13 +263,7 @@ def test_reduced_functional_validates_coords(subcritical_spec):
 
 
 def test_reduced_functional_requires_kernel(sphere3_disc):
-    q = 4.0
-    spec = QuotientSpec(
-        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
-        B=sphere3_disc.model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=sphere3_disc,
-    )
+    spec = cst.default_spec(sphere3_disc, 4.0, 1.1)
     cp = opt.minimize(spec, DiscreteFunction(sphere3_disc, np.ones(sphere3_disc.n)))
     with pytest.raises(ValueError):
         opt.reduced_functional(spec, cp, [0.1])

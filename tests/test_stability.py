@@ -7,8 +7,7 @@ from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
-from sobolev_lab.discretization import DiscreteFunction, build
-from sobolev_lab.functionals import QuotientSpec
+from sobolev_lab.discretization import DiscreteFunction, build, gradient_norm_sq, inner
 from sobolev_lab.geometry import make_sphere
 
 
@@ -25,6 +24,26 @@ def test_bubble_profile(sphere3_disc):
     u = st.bubble(sphere3_disc, 2.0, 0.5)
     want = 2.0 * (1.0 - 0.5 * np.cos(sphere3_disc.nodes)) ** -0.5
     assert np.allclose(u.values, want)
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_bubble_starts_are_the_bubbles(d, product4_disc):
+    disc = build(make_sphere(d), 64)
+    got = fn.bubble_starts(disc)
+    want = [st.bubble(disc, 1.0, b).values for b in fn.BUBBLE_STARTS]
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert fn.bubble_starts(product4_disc) == []
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_w12_norm_sq_matches_the_quadrature_helpers(disc_name, request, rng):
+    disc = request.getfixturevalue(disc_name)
+    for _ in range(10):
+        mixed = DiscreteFunction(disc, rng.standard_normal(disc.n))
+        positive = DiscreteFunction(disc, 1.0 + 0.5 * np.tanh(mixed.values))
+        for u in (mixed, positive):
+            assert st.w12_norm_sq(disc, u) == gradient_norm_sq(disc, u) + inner(disc, u, u)
 
 
 def test_bubbles_have_zero_deficit_at_critical_spec(critical_sphere_spec):
@@ -208,13 +227,7 @@ def test_ray_scan_degenerate_slope_and_report(subcritical_spec):
 
 
 def test_ray_scan_nondegenerate_control(sphere3_disc):
-    q = 4.0
-    spec = QuotientSpec(
-        A=1.1 * cst.a_opt_sphere_closed_form(3, q),
-        B=sphere3_disc.model.total_volume ** (2.0 / q - 1.0),
-        q=q,
-        disc=sphere3_disc,
-    )
+    spec = cst.default_spec(sphere3_disc, 4.0, 1.1)
     rep = st.ray_scan(spec, st.ray_from_constants(spec), "constants")
     assert rep.classification == "nondegenerate"
     assert rep.fitted_slope == pytest.approx(2.0, abs=0.1)
@@ -265,8 +278,9 @@ def test_lojasiewicz_estimate_quartic_at_fine_resolution(fine_degenerate_point):
 
 
 def test_classify_aggregation():
-    assert st.classify([4.0, 3.9]) == "degenerate"
-    assert st.classify([2.0, 2.1]) == "nondegenerate"
-    assert st.classify([2.0, 4.0]) == "inconclusive"
-    assert st.classify([math.nan]) == "inconclusive"
-    assert st.classify([]) == "inconclusive"
+    for slope in (4.0, 3.9, 2.6):
+        assert st.classify(slope) == "degenerate"
+    for slope in (2.0, 2.1, 1.6):
+        assert st.classify(slope) == "nondegenerate"
+    for slope in (1.4, math.nan):
+        assert st.classify(slope) == "inconclusive"
