@@ -11,7 +11,9 @@ int f_t g_t dVol = int (-Delta f) g dVol have degree <= 2n - 2, and the rule
 is exact to degree 2n - 1, so this is the collocation matrix in exact
 arithmetic, while in floating point W(-Delta) is symmetric by construction.
 The circle factor of the product model uses uniform nodes and Fourier
-differentiation; there -Delta f = -f''.
+differentiation; there -Delta f = -f''.  Both operators are built to commute
+bit for bit with the reflection t -> pi - t (s -> -s on the circle), so their
+eigen-solve splits into an even and an odd half (Boyd 2001, ch. 8).
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def _fourier_matrices(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
     col_d[1:] = 0.5 * (-1.0) ** k / np.tan(k * h / 2.0)
     col_d2 = np.zeros(n)
     col_d2[0] = -math.pi**2 / (3.0 * h**2) - 1.0 / 6.0
-    col_d2[1:] = -((-1.0) ** k) / (2.0 * np.sin(k * h / 2.0) ** 2)
+    m = np.minimum(k, n - k)  # col_d2[k] == col_d2[n - k]: D2 is exactly symmetric
+    col_d2[1:] = -((-1.0) ** m) / (2.0 * np.sin(m * h / 2.0) ** 2)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     D = col_d[idx]
     D2 = col_d2[idx]
@@ -75,6 +78,7 @@ class Discretization:
     quad_weights: np.ndarray  # include the volume density
     diff_matrix: np.ndarray  # d/dt collocation operator
     laplace_matrix: np.ndarray  # -Delta on the reduced class
+    mirror: np.ndarray  # node permutation of the reflection; L[mirror][:, mirror] == L
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.quad_weights @ values)
@@ -102,6 +106,16 @@ class SpectralData:
     residuals: np.ndarray
 
 
+def _weak_laplacian(Dt: np.ndarray, qw: np.ndarray) -> np.ndarray:
+    """W(-Delta) = Dt^T W Dt, exactly symmetric and exactly reflection-symmetric."""
+    G = np.sqrt(qw)[:, None] * Dt
+    K = G.T @ G  # exactly symmetric (numpy evaluates G^T G by syrk)
+    # push the row sums to zero so constants are annihilated to rounding
+    for _ in range(2):
+        K[np.diag_indices_from(K)] -= K @ np.ones(len(qw))
+    return 0.5 * (K + K[::-1, ::-1])  # a commutative sum: both symmetries stay exact
+
+
 def build(model: ManifoldModel, n: int) -> Discretization:
     if n < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
@@ -116,19 +130,14 @@ def build(model: ManifoldModel, n: int) -> Discretization:
         qw = unit_sphere_volume(d - 1) * wq
         Dx = _barycentric_diff_matrix(x)
         Dt = -np.sin(t)[:, None] * Dx
-        G = np.sqrt(qw)[:, None] * Dt
-        K = G.T @ G  # Dt^T W Dt, exactly symmetric (numpy evaluates G^T G by syrk)
-        # push the row sums to zero so constants are annihilated to rounding
-        ones = np.ones(n)
-        for _ in range(2):
-            K[np.arange(n), np.arange(n)] -= K @ ones
-        return Discretization(model, n, t, qw, Dt, K / qw[:, None])
+        L = _weak_laplacian(Dt, qw) / qw[:, None]
+        return Discretization(model, n, t, qw, Dt, L, np.arange(n)[::-1])
     if n % 2 != 0:
         raise ValueError("periodic discretization requires even n")
     t = model.length * np.arange(n) / n
     qw = np.full(n, unit_sphere_volume(d - 1) * model.length / n)
     D, D2 = _fourier_matrices(n, model.length)
-    return Discretization(model, n, t, qw, D, -D2)
+    return Discretization(model, n, t, qw, D, -D2, -np.arange(n) % n)
 
 
 def _check_same(disc: Discretization, *funcs: DiscreteFunction) -> None:
@@ -157,9 +166,9 @@ def gradient_norm_sq(disc: Discretization, f: DiscreteFunction) -> float:
 
 
 def frame_eigenpairs(
-    disc: Discretization, S: np.ndarray, k: int, frame: np.ndarray | None = None
+    disc: Discretization, S: np.ndarray, k: int, frame: np.ndarray
 ) -> SpectralData:
-    """Bottom-k eigenpairs of a symmetric matrix S in the sqrt(W) frame.
+    """Bottom-k eigenpairs of S, a sqrt(W)-frame operator on the orthonormal columns of frame.
 
     An eigenvector c maps to the function (frame @ c) / sqrt(W), which is
     quadrature-orthonormal; it is signed so that its first entry with
@@ -170,9 +179,7 @@ def frame_eigenpairs(
         raise ValueError(f"k must be in [1, {len(S)}], got {k}")
     evals, vecs = eigh(S, subset_by_index=[0, k - 1])
     residuals = np.linalg.norm(S @ vecs - vecs * evals, axis=0)
-    if frame is not None:
-        vecs = frame @ vecs
-    phis = vecs / np.sqrt(disc.quad_weights)[:, None]
+    phis = (frame @ vecs) / np.sqrt(disc.quad_weights)[:, None]
     mags = np.abs(phis)
     first = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
     phis *= np.sign(phis[first, np.arange(k)])
@@ -182,10 +189,31 @@ def frame_eigenpairs(
 
 def laplace_eigenpairs(disc: Discretization, k: int) -> SpectralData:
     """k smallest eigenpairs of -Delta, quadrature-orthonormal eigenfunctions."""
+    if not 1 <= k <= disc.n:
+        raise ValueError(f"k must be in [1, {disc.n}], got {k}")
     sw = np.sqrt(disc.quad_weights)
-    sd = frame_eigenpairs(disc, (sw[:, None] * disc.laplace_matrix) / sw[None, :], k)
+    R, j = disc.mirror, np.arange(disc.n)
+    first = j[j < R]
+    halves = []
+    # F^T S F for the frames F of the even half, e_j (R j = j) and (e_j + e_Rj)/sqrt(2),
+    # and of the odd half, (e_j - e_Rj)/sqrt(2), S the sqrt(W)-frame matrix
+    for rows, sign in ((np.concatenate([j[j == R], first]), 1.0), (first, -1.0)):
+        mates, cols = R[rows], np.arange(len(rows))
+        S = (sw[rows, None] * disc.laplace_matrix[rows]) / sw[None, :]
+        # a fixed node is its own mate, so its weight 1/2 is counted twice
+        w = np.where(rows == mates, 0.5, math.sqrt(0.5))
+        block = 2.0 * np.outer(w, w) * (S[:, rows] + sign * S[:, mates])
+        frame = np.zeros((disc.n, len(rows)))
+        frame[rows, cols] = w
+        frame[mates, cols] += sign * w
+        halves.append(frame_eigenpairs(disc, block, min(k, len(rows)), frame))
+    values = np.concatenate([h.eigenvalues for h in halves])
+    order = np.argsort(values, kind="stable")[:k]
+    funcs = halves[0].eigenfunctions + halves[1].eigenfunctions
+    sd = SpectralData(values[order], [funcs[i] for i in order],
+                      np.concatenate([h.residuals for h in halves])[order])
     scale = max(1.0, abs(sd.eigenvalues[-1]))
-    if np.any(sd.residuals > 1e-6 * scale):
+    if np.any(sd.residuals > 1e-8 * scale):
         raise RuntimeError(
             f"eigen-solve residuals too large: {sd.residuals.max():.3e} (scale {scale:.3e})"
         )

@@ -213,18 +213,26 @@ def hessian_matrix(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     """Second-variation matrix in the quadrature-orthonormal frame.
 
     Symmetric up to rounding, as W(-Delta) is.  The direction u is deflated
-    by the (non-orthogonal) tangent projection, so the matrix carries one
-    artificial zero mode along u; spectrum extraction compresses onto the
-    tangent space explicitly.
+    by the (non-orthogonal) tangent projection P = I - u w^T, applied as a
+    rank-two update, so the matrix carries one artificial zero mode along u;
+    spectrum extraction compresses onto the tangent space explicitly.
     """
     check_normalized(spec, u)
-    disc = spec.disc
-    qw = disc.quad_weights
+    qw = spec.disc.quad_weights
     S = qw[:, None] * euler_lagrange_jacobian(spec, u.values, 2.0 * quotient(spec, u))
-    uq1 = power_qm1(u.values, spec.q)
-    P = np.eye(disc.n) - np.outer(u.values, qw * uq1)
+    w = qw * power_qm1(u.values, spec.q)
+    Su, uS = S @ u.values, u.values @ S
+    PSP = S - np.outer(Su, w) - np.outer(w, uS) + float(u.values @ Su) * np.outer(w, w)
     sw = np.sqrt(qw)
-    return (P.T @ S @ P) / sw[:, None] / sw[None, :]
+    return PSP / sw[:, None] / sw[None, :]
+
+
+def tangent_reflector(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
+    """Unit v of the reflector I - 2 v v^T sending e_0 to -sign(z_0) z, z ~ W^{1/2} u^{q-1}."""
+    z = np.sqrt(spec.disc.quad_weights) * power_qm1(u.values, spec.q)
+    v = z / np.linalg.norm(z)
+    v[0] += math.copysign(1.0, v[0] if v[0] != 0 else 1.0)
+    return v / np.linalg.norm(v)
 
 
 def tangent_frame(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
@@ -233,12 +241,5 @@ def tangent_frame(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     Columns z of the returned n x (n-1) matrix satisfy z . W^{1/2} u^{q-1} = 0,
     i.e. the corresponding functions phi = W^{-1/2} z are tangent at u.
     """
-    qw = spec.disc.quad_weights
-    z = np.sqrt(qw) * power_qm1(u.values, spec.q)
-    z = z / np.linalg.norm(z)
-    # Householder reflector sending e_0 to -sign(z_0) z; its trailing
-    # columns form an orthonormal basis of the complement of z.
-    v = z.copy()
-    v[0] += math.copysign(1.0, z[0] if z[0] != 0 else 1.0)
-    H = np.eye(spec.disc.n) - (2.0 / (v @ v)) * np.outer(v, v)
-    return H[:, 1:]
+    v = tangent_reflector(spec, u)
+    return np.eye(len(v))[:, 1:] - 2.0 * np.outer(v, v[1:])

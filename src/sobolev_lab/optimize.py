@@ -75,9 +75,14 @@ def _l2_norm(spec: QuotientSpec, values: np.ndarray) -> float:
 
 
 def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> SpectralData:
-    """Bottom-k eigenpairs of the constrained Hessian on the tangent space."""
-    Z = fn.tangent_frame(spec, u)
-    return frame_eigenpairs(spec.disc, Z.T @ fn.hessian_matrix(spec, u) @ Z, k, Z)
+    """Bottom-k eigenpairs of the constrained Hessian on the tangent space.
+
+    Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.
+    """
+    H, v = fn.hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
+    Hv, vH = H @ v, v @ H
+    HRH = H - 2.0 * (np.outer(v, vH) + np.outer(Hv, v)) + 4.0 * float(v @ Hv) * np.outer(v, v)
+    return frame_eigenpairs(spec.disc, HRH[1:, 1:], k, fn.tangent_frame(spec, u))
 
 
 def kernel_basis_at(
@@ -181,7 +186,8 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
     while iterations < MAX_ITER:
         F = fn.euler_lagrange(spec, u, 0.0)
         g = F - float(total(qw * u * F)) * fn.power_qm1(u, q)
-        res = math.sqrt(float(total(qw * g * g)))
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            res = math.sqrt(float(total(qw * g * g)))
         if not math.isfinite(res):
             raise ValueError("non-finite gradient in projected-gradient descent")
         if res < SWITCH_TOL:

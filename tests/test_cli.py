@@ -212,10 +212,18 @@ def test_fit_with_equal_distances_is_numerical_failure(tmp_path, capfd):
     ["minimize", "--n", "64", "--q", "4", "--A", "1e300", "--multistart"],
 ], ids=["huge-A", "huge-B", "huge-A-multistart"])
 def test_minimize_solver_value_error_is_numerical_failure(argv, capsys):
+    line = "numerical failure: non-finite gradient in projected-gradient descent\n"
     assert main(argv) == EXIT_NUMERICAL_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "numerical failure: non-finite gradient in projected-gradient descent\n"
+    assert captured.err == line
+    # pytest captures warnings; a fresh interpreter shows what reaches fd 2
+    src = os.path.dirname(os.path.dirname(sobolev_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "sobolev_lab.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (EXIT_NUMERICAL_ERROR, "", line)
 
 
 def test_reproduce_single_criterion(tmp_path, capsys):

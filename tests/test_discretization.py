@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from sobolev_lab.discretization import (
     MIN_NODES,
     DiscreteFunction,
     DiscretizationMismatchError,
+    _weak_laplacian,
     build,
     gradient_norm_sq,
     inner,
     laplace_eigenpairs,
     lp_norm,
 )
-from sobolev_lab.geometry import make_sphere
+from sobolev_lab.geometry import make_product, make_sphere
 
 
 def test_quadrature_total_mass(sphere3_disc, product4_disc):
@@ -148,3 +150,66 @@ def test_convergence_with_resolution(sphere3):
         errs.append(abs(laplace_eigenpairs(disc, 4).eigenvalues[3] - 15.0))
     assert errs[2] < 1e-9
     assert errs[2] <= errs[0] + 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("n", [64, 65, 256, 257])
+def test_sphere_laplacian_is_reflection_symmetric(d, n):
+    disc = build(make_sphere(d), n)
+    L, R, qw = disc.laplace_matrix, disc.mirror, disc.quad_weights
+    assert np.array_equal(R, np.arange(n)[::-1])
+    assert np.max(np.abs(disc.nodes[R] + disc.nodes - math.pi)) <= 1e-15
+    assert np.array_equal(qw[R], qw)
+    assert np.array_equal(L[R][:, R], L)
+    # W L is assembled as K = Dt^T W Dt, then divided by W
+    K = _weak_laplacian(disc.diff_matrix, qw)
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K[R][:, R], K)
+    assert np.array_equal(K / qw[:, None], L)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("n", [64, 512])
+def test_product_laplacian_is_exactly_symmetric(d, n):
+    disc = build(make_product(d), n)
+    L, R = disc.laplace_matrix, disc.mirror
+    assert np.array_equal(L, L.T)
+    assert np.array_equal(L[R][:, R], L)
+    assert np.array_equal(np.flatnonzero(R == np.arange(n)), [0, n // 2])
+    assert np.array_equal(R[R], np.arange(n))
+
+
+FOLD_CASES = [("sphere", 3, 65), ("sphere", 8, 64), ("product", 4, 64)]
+
+
+@pytest.mark.parametrize("model, d, n", FOLD_CASES)
+@pytest.mark.parametrize("which_k", ["1", "n/2", "n/2+1", "n"])
+def test_folded_solve_matches_dense_reference(model, d, n, which_k):
+    disc = build(make_sphere(d) if model == "sphere" else make_product(d), n)
+    k = {"1": 1, "n/2": n // 2, "n/2+1": n // 2 + 1, "n": n}[which_k]
+    sw = np.sqrt(disc.quad_weights)
+    ref_values, ref_vecs = eigh((sw[:, None] * disc.laplace_matrix) / sw[None, :])
+    sd = laplace_eigenpairs(disc, k)
+    # both solves are backward stable: each eigenvalue also carries an
+    # absolute error of order eps * ||S||_2, which dominates at the zero mode
+    scale = max(1.0, abs(ref_values[k - 1]))
+    floor = 2.0 * np.finfo(float).eps * abs(ref_values[-1])
+    assert np.max(np.abs(sd.eigenvalues - ref_values[:k])) <= 1e-12 * scale + floor
+    # each eigenvector lies in the reference eigenspace of its eigenvalue,
+    # which takes in both members of a cos/sin pair of the product
+    X = np.column_stack([f.values for f in sd.eigenfunctions]) * sw[:, None]
+    assert np.max(np.abs(X.T @ X - np.eye(k))) <= 1e-12
+    gaps = np.abs(ref_values[:, None] - sd.eigenvalues[None, :])
+    for i in range(k):
+        space = ref_vecs[:, gaps[:, i] <= 1e-9 * max(1.0, abs(sd.eigenvalues[i]))]
+        assert 1 <= space.shape[1] <= (2 if model == "product" else 1)
+        outside = X[:, i] - space @ (space.T @ X[:, i])
+        assert np.linalg.norm(outside) <= 1e-8
+
+
+@pytest.mark.parametrize("model, d, n", FOLD_CASES)
+def test_eigenfunctions_are_even_or_odd(model, d, n):
+    disc = build(make_sphere(d) if model == "sphere" else make_product(d), n)
+    R = disc.mirror
+    for f in laplace_eigenpairs(disc, 12).eigenfunctions:
+        assert np.array_equal(f.values[R], f.values) or np.array_equal(f.values[R], -f.values)

@@ -224,6 +224,35 @@ def test_hessian_matrix_symmetric(spec_name, request, rng):
     assert np.linalg.norm(H - H.T) <= 1e-13 * np.linalg.norm(H)
 
 
+def _dense_hessian(spec, u):
+    """P^T S P with P = I - u (W u^{q-1})^T, by dense products, in the sqrt(W) frame."""
+    qw = spec.disc.quad_weights
+    S = qw[:, None] * fn.euler_lagrange_jacobian(spec, u.values, 2.0 * fn.quotient(spec, u))
+    P = np.eye(spec.disc.n) - np.outer(u.values, qw * fn.power_qm1(u.values, spec.q))
+    sw = np.sqrt(qw)
+    return (P.T @ S @ P) / sw[:, None] / sw[None, :]
+
+
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+def test_hessian_matrix_matches_dense_projection(spec_name, request, rng):
+    spec = request.getfixturevalue(spec_name)
+    u = _normalized_sample(spec, rng)
+    dense = _dense_hessian(spec, u)
+    H = fn.hessian_matrix(spec, u)
+    assert np.linalg.norm(H - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+def test_tangent_frame_is_the_reflector(spec_name, request, rng):
+    spec = request.getfixturevalue(spec_name)
+    u = _normalized_sample(spec, rng)
+    v = fn.tangent_reflector(spec, u)
+    H = np.eye(spec.disc.n) - 2.0 * np.outer(v, v)
+    z = np.sqrt(spec.disc.quad_weights) * fn.power_qm1(u.values, spec.q)
+    assert np.linalg.norm(H[:, 0] + np.sign(z[0]) * z / np.linalg.norm(z)) < 1e-14
+    assert np.max(np.abs(fn.tangent_frame(spec, u) - H[:, 1:])) < 1e-15
+
+
 @pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
 def test_euler_lagrange_jacobian_matches_finite_difference(spec_name, request, rng):
     spec = request.getfixturevalue(spec_name)

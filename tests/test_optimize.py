@@ -38,6 +38,24 @@ def test_certify_bubble_critical(critical_sphere_spec):
     assert opt.certify(critical_sphere_spec, u) < 1e-9
 
 
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+def test_hessian_spectrum_matches_dense_compression(spec_name, request):
+    # Z^T H Z by dense products against the rank-two update in hessian_spectrum_at
+    spec = request.getfixturevalue(spec_name)
+    disc = spec.disc
+    phi = laplace_eigenpairs(disc, 3).eigenfunctions[2].values
+    u = fn.normalize(DiscreteFunction(disc, 1.0 + 0.2 * phi), spec.q)
+    H = fn.hessian_matrix(spec, u)
+    Z = fn.tangent_frame(spec, u)
+    want = np.linalg.eigvalsh(Z.T @ H @ Z)[:6]
+    sd = opt.hessian_spectrum_at(spec, u, 6)
+    assert np.max(np.abs(sd.eigenvalues - want)) <= 1e-12 * np.linalg.norm(H, 2)
+    assert np.max(sd.residuals) <= 1e-12 * np.linalg.norm(H, 2)
+    X = np.column_stack([f.values for f in sd.eigenfunctions])
+    tangency = X.T @ (disc.quad_weights * fn.power_qm1(u.values, spec.q))
+    assert np.max(np.abs(tangency)) <= 1e-12
+
+
 def test_hessian_spectrum_at_constant(subcritical_spec):
     # closed form 2 (q - 2) B (lambda_k / lambda_1 - 1) at the constant
     spec = subcritical_spec
