@@ -1,17 +1,19 @@
 """Command-line driver: constants, minimize, spectrum, scan, fit, reproduce.
 
-Option resolution is layered: built-in defaults, then a JSON config file
-(--config), then explicit flags.  This module alone turns results into JSON
-reports; each carries SCHEMA_VERSION, and all but the reproduce report embed
-the fully resolved configuration.  Files are written atomically (temp file +
-rename).  Exit codes: 0 success, 1 reproduction failure, 2 configuration
-error, 3 numerical failure.
+Options resolve in layers: the OPTIONS defaults, then a JSON config file
+(--config), then explicit flags.  This module alone formats results (the text
+table, the CSV and the JSON reports); each report carries SCHEMA_VERSION, and
+all but the reproduce report embed the fully resolved configuration.  Files
+are written atomically (temp file + rename).  Exit codes: 0 success, 1
+reproduction failure, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -35,6 +37,34 @@ EXIT_NUMERICAL_ERROR = 3
 
 SCHEMA_VERSION = 1
 
+# Every option of the layered subcommands, {key: default} in report order.  The
+# flag is --key with "_" as "-", typed by the default; the bool is a switch.
+OPTIONS = {
+    "constants": {"model": "sphere", "d": 3, "q": 0.0, "n": 128, "b_budget": 4, "seed": 0},
+    "minimize": {"model": "sphere", "d": 3, "q": 0.0, "n": 128, "A": 0.0, "B": 0.0,
+                 "init": "constant", "seed": 0, "multistart": False},
+    "spectrum": {"model": "sphere", "d": 3, "n": 128, "k": 8},
+    "scan": {"model": "sphere", "d": 3, "q": 0.0, "n": 256, "A": 0.0, "B": 0.0, "mode_index": 1,
+             "eps_lo": 1e-3, "eps_hi": 1e-1, "eps_count": 25, "family": "constants"},
+}
+
+HELP = {
+    "config": "JSON file with option overrides",
+    "out": "write the JSON report here (atomic)",
+    "model": "sphere | product",
+    "family": " | ".join(st.EXTREMAL_FAMILIES),
+    "d": "ambient dimension (3..16)",
+    "n": "number of collocation nodes",
+    "q": "exponent in (2, 2*]; default 2*",
+    "A": "gradient constant; default A_opt",
+    "B": "zero-order constant; default Vol^(2/q-1)",
+    "b_budget": "random starts (>= 0) of the L-BFGS search for the B_opt lower bound; "
+                "each start and end point is certified by the reference quotient",
+    "init": "constant | random | bubble:<b>",
+    "k": "number of eigenpairs",
+    "mode_index": "Laplace mode used as the ray direction",
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -57,34 +87,29 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags; unknown config keys rejected."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """OPTIONS of the command < config file < explicit flags; unknown config keys rejected."""
+    defaults = OPTIONS[args.command]
     resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if args.config:
         try:
-            with open(config_path) as handle:
+            with open(args.config) as handle:
                 file_cfg = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            if not isinstance(value, type(defaults[key])) and not (
-                isinstance(defaults[key], float) and isinstance(value, (int, float))
-            ):
-                raise ConfigError(
-                    f"config key {key!r}: expected {type(defaults[key]).__name__}, "
-                    f"got {type(value).__name__}"
-                )
+            want = type(defaults[key])
+            if not (isinstance(value, want) or want is float and isinstance(value, int)):
+                raise ConfigError(f"config key {key!r}: expected {want.__name__}, "
+                                  f"got {type(value).__name__}")
             resolved[key] = value
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
+    flags = {key: getattr(args, key) for key in defaults}
+    resolved.update({key: flag for key, flag in flags.items() if flag is not None})
     # seeds key a Philox stream, which takes non-negative integers only
     if resolved.get("seed", 0) < 0:
         raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
@@ -136,17 +161,40 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _constants_table(report: cst.ConstantsReport) -> str:
+    rows = [
+        ("model", report.model),
+        ("d", str(report.d)),
+        ("q", f"{report.q:.6g}"),
+        ("S_d", f"{report.S_d:.12g}"),
+        ("beta", f"{report.beta:.12g}"),
+        (f"A_opt ({report.A_opt_provenance})", f"{report.A_opt:.12g}"),
+        ("B_lower (curvature bound)", f"{report.B_lower:.12g}"),
+        ("B_opt estimate (lower bound)", f"{report.B_opt_estimate:.12g}"),
+        ("strict binding S_d^2 < A_opt(M*)", str(report.strict_binding)),
+    ]
+    width = max(len(r[0]) for r in rows)
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
+
+
+def _scan_csv(report: st.ExperimentReport) -> str:
+    """One row per epsilon: four floats by repr, and in_fit_window as 0 or 1."""
+    columns = ("epsilon", "deficit", "distance", "q_value", "in_fit_window")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([*(repr(r[c]) for c in columns[:4]), int(r[columns[4]])] for r in report.rows)
+    return buf.getvalue()
+
+
 def cmd_constants(args) -> int:
-    defaults = {
-        "model": "sphere", "d": 3, "q": 0.0, "n": 128, "b_budget": 4, "seed": 0,
-    }
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     if cfg["b_budget"] < 0:
         raise ConfigError(f"b_budget must be >= 0, got {cfg['b_budget']}")
     model, disc = _build_disc(cfg)
     q = _resolve_q(cfg, model)
     report = cst.constants_report(model, disc, q, b_budget=cfg["b_budget"], seed=cfg["seed"])
-    print(report.to_table())
+    print(_constants_table(report))
     if args.out:
         _emit({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report), "config": cfg},
               args.out)
@@ -172,11 +220,7 @@ def _initial_guess(cfg: dict, disc):
 
 
 def cmd_minimize(args) -> int:
-    defaults = {
-        "model": "sphere", "d": 3, "q": 0.0, "n": 128, "A": 0.0, "B": 0.0,
-        "init": "constant", "seed": 0, "multistart": False,
-    }
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     spec = _build_spec(cfg)
     init = None if cfg["multistart"] else _initial_guess(cfg, spec.disc)
     try:  # the inputs are checked by now, so a ValueError of the solver is numerical
@@ -208,8 +252,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    defaults = {"model": "sphere", "d": 3, "n": 128, "k": 8}
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     _, disc = _build_disc(cfg)
     if not 1 <= cfg["k"] <= disc.n:
         raise ConfigError(f"k must be in [1, {disc.n}], got {cfg['k']}")
@@ -225,12 +268,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    defaults = {
-        "model": "sphere", "d": 3, "q": 0.0, "n": 256, "A": 0.0, "B": 0.0,
-        "mode_index": 1, "eps_lo": 1e-3, "eps_hi": 1e-1, "eps_count": 25,
-        "family": "constants",
-    }
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     if cfg["family"] not in st.EXTREMAL_FAMILIES:
         raise ConfigError(
             f"family must be one of {st.EXTREMAL_FAMILIES}, got {cfg['family']!r}"
@@ -254,7 +292,7 @@ def cmd_scan(args) -> int:
     _emit({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report), "config": cfg},
           args.out)
     if args.csv:
-        _write_atomic(args.csv, report.to_csv())
+        _write_atomic(args.csv, _scan_csv(report))
         print(f"wrote {args.csv}")
     print(
         f"slope {report.fitted_slope:.4f} +/- {report.slope_stderr:.1e} "
@@ -306,59 +344,30 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_REPRODUCE_FAIL
 
 
-def _add_common(p, *names):
-    if "config" in names:
-        p.add_argument("--config", help="JSON file with option overrides")
-    if "model" in names:
-        p.add_argument("--model", choices=("sphere", "product"))
-        p.add_argument("--d", type=int, help="ambient dimension (3..16)")
-        p.add_argument("--n", type=int, help="number of collocation nodes")
-    if "q" in names:
-        p.add_argument("--q", type=float, help="exponent in (2, 2*]; default 2*")
-    if "AB" in names:
-        p.add_argument("--A", type=float, help="gradient constant; default A_opt")
-        p.add_argument("--B", type=float, help="zero-order constant; default Vol^(2/q-1)")
-    if "seed" in names:
-        p.add_argument("--seed", type=int)
-    if "out" in names:
-        p.add_argument("--out", help="write the JSON report here (atomic)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobolev-lab",
         description="Optimal Sobolev constants and stability experiments on model manifolds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="optimal-constant report for one model")
-    _add_common(p, "config", "model", "q", "seed", "out")
-    p.add_argument("--b-budget", dest="b_budget", type=int,
-                   help="random starts (>= 0) of the L-BFGS search for the B_opt lower bound; "
-                        "each start and end point is certified by the reference quotient")
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("minimize", help="minimize the Sobolev quotient")
-    _add_common(p, "config", "model", "q", "AB", "seed", "out")
-    p.add_argument("--init", help="constant | random | bubble:<b>")
-    p.add_argument("--multistart", action="store_true", default=None)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("spectrum", help="low Laplace eigenvalues of a model")
-    _add_common(p, "config", "model", "out")
-    p.add_argument("--k", type=int, help="number of eigenpairs")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("scan", help="deficit/distance scan along a ray from constants")
-    _add_common(p, "config", "model", "q", "AB", "out")
-    p.add_argument("--mode-index", dest="mode_index", type=int,
-                   help="Laplace mode used as the ray direction")
-    p.add_argument("--eps-lo", dest="eps_lo", type=float)
-    p.add_argument("--eps-hi", dest="eps_hi", type=float)
-    p.add_argument("--eps-count", dest="eps_count", type=int)
-    p.add_argument("--family", choices=st.EXTREMAL_FAMILIES)
-    p.add_argument("--csv", help="also write the per-epsilon table as CSV")
-    p.set_defaults(func=cmd_scan)
+    for command, func, help_text in (
+        ("constants", cmd_constants, "optimal-constant report for one model"),
+        ("minimize", cmd_minimize, "minimize the Sobolev quotient"),
+        ("spectrum", cmd_spectrum, "low Laplace eigenvalues of a model"),
+        ("scan", cmd_scan, "deficit/distance scan along a ray from constants"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help=HELP["config"])
+        for key, default in OPTIONS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, action="store_true", default=None, help=HELP.get(key))
+            else:
+                p.add_argument(flag, type=type(default), help=HELP.get(key))
+        p.add_argument("--out", help=HELP["out"])
+        if command == "scan":
+            p.add_argument("--csv", help="also write the per-epsilon table as CSV")
 
     p = sub.add_parser("fit", help="re-fit the exponent from a saved scan report")
     p.add_argument("--input", required=True, help="JSON report produced by scan")

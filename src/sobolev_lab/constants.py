@@ -88,16 +88,13 @@ def _b_objective(disc: Discretization, phi_mat: np.ndarray, coeffs: np.ndarray) 
 
 
 def _b_ratio_and_grad(
-    coeffs: np.ndarray,
-    disc: Discretization,
-    phi_mat: np.ndarray,
-    gram: np.ndarray,
-    stiff: np.ndarray,
+    coeffs: np.ndarray, disc: Discretization, phi_mat: np.ndarray, lam: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """The `_b_objective` ratio at u = phi_mat @ coeffs, and its gradient in coeffs.
 
-    gram = PhiᵀWPhi and stiff = (DPhi)ᵀW(DPhi) give ||u||^2 and ||grad u||^2
-    as quadratic forms; with s = sum w|u|^p the gradient of ||u||_p^2 is
+    The columns of phi_mat are Laplace eigenfunctions, orthonormal in the
+    quadrature with eigenvalues lam, so ||u||^2 = |c|^2 and ||grad u||^2 =
+    sum lam c^2; with s = sum w|u|^p the gradient of ||u||_p^2 is
     2 s^{2/p-1} Phiᵀ(w |u|^{p-2} u).
     """
     d = disc.model.dim
@@ -107,12 +104,11 @@ def _b_ratio_and_grad(
     u = phi_mat @ coeffs
     abs_pm2 = np.abs(u) ** (p - 2.0)
     s = w @ (abs_pm2 * u * u)
-    gc = gram @ coeffs
-    kc = stiff @ coeffs
-    l2 = coeffs @ gc
+    kc = lam * coeffs
+    l2 = coeffs @ coeffs
     ratio = (s ** (2.0 / p) - sd2 * (coeffs @ kc)) / l2
     grad_num = 2.0 * s ** (2.0 / p - 1.0) * (phi_mat.T @ (w * abs_pm2 * u)) - 2.0 * sd2 * kc
-    return ratio, (grad_num - 2.0 * ratio * gc) / l2
+    return ratio, (grad_num - 2.0 * ratio * coeffs) / l2
 
 
 def _negated_b_ratio(coeffs, *args):
@@ -141,9 +137,6 @@ def estimate_b_opt(
     phi_mat = np.column_stack([f.values for f in spec_data.eigenfunctions])
     k = phi_mat.shape[1]
     w = disc.quad_weights
-    dphi = disc.diff_matrix @ phi_mat
-    gram = phi_mat.T @ (w[:, None] * phi_mat)
-    stiff = dphi.T @ (w[:, None] * dphi)
 
     eye = np.eye(k)
     starts = [eye[0]]
@@ -159,8 +152,8 @@ def estimate_b_opt(
     best = -math.inf
     # scipy's default stopping test leaves the product d = 4 value ~1e-11 short
     for c0 in starts:
-        res = scipy_minimize(_negated_b_ratio, c0, args=(disc, phi_mat, gram, stiff), jac=True,
-                             method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-12})
+        res = scipy_minimize(_negated_b_ratio, c0, args=(disc, phi_mat, spec_data.eigenvalues),
+                             jac=True, method="L-BFGS-B", options={"ftol": 1e-15, "gtol": 1e-12})
         best = max(best, _b_objective(disc, phi_mat, c0), _b_objective(disc, phi_mat, res.x))
     return best
 
@@ -182,21 +175,6 @@ class ConstantsReport:
     def __post_init__(self):
         if self.S_d <= 0:
             raise ValueError("S_d must be positive")
-
-    def to_table(self) -> str:
-        rows = [
-            ("model", self.model),
-            ("d", str(self.d)),
-            ("q", f"{self.q:.6g}"),
-            ("S_d", f"{self.S_d:.12g}"),
-            ("beta", f"{self.beta:.12g}"),
-            (f"A_opt ({self.A_opt_provenance})", f"{self.A_opt:.12g}"),
-            ("B_lower (curvature bound)", f"{self.B_lower:.12g}"),
-            ("B_opt estimate (lower bound)", f"{self.B_opt_estimate:.12g}"),
-            ("strict binding S_d^2 < A_opt(M*)", str(self.strict_binding)),
-        ]
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
 def a_opt_default(model: ManifoldModel, disc: Discretization, q: float) -> tuple[float, str]:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 # Weights sin^{d-1} become numerically stiff past this point and nothing
 # in the experiments needs larger dimensions.
 MAX_DIM = 16
@@ -41,13 +39,6 @@ class ManifoldModel:
     length: float
     total_volume: float
     scalar_curvature: float
-
-    def weight(self, t):
-        """Reduced volume density w(t) on the open domain."""
-        t = np.asarray(t, dtype=float)
-        if self.kind is ModelKind.SPHERE_RADIAL:
-            return unit_sphere_volume(self.dim - 1) * np.sin(t) ** (self.dim - 1)
-        return np.full_like(t, unit_sphere_volume(self.dim - 1))
 
 
 def _check_dim(d: int) -> None:

@@ -243,15 +243,16 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
 def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2) -> CriticalPoint:
     """Run minimize from the documented start family and keep the best result.
 
-    Starts: constants, +/- first-eigenfunction perturbations, bubbles on the
-    sphere, and seeded random smooth fields.  Best certified value wins, ties
-    broken by lower gradient residual.
+    Starts: constants, one first-eigenfunction perturbation (its sign flip is
+    the same problem: a reflection on the sphere, a half-period shift on the
+    product), bubbles on the sphere, and seeded random smooth fields.  Best
+    certified value wins, ties broken by lower gradient residual.
     """
     disc = spec.disc
     const = np.ones(disc.n)
     spec_data = laplace_eigenpairs(disc, min(6, disc.n))
     phi1 = spec_data.eigenfunctions[1].values
-    starts = [const, const + 0.3 * phi1, const - 0.3 * phi1, *fn.bubble_starts(disc)]
+    starts = [const, const + 0.3 * phi1, *fn.bubble_starts(disc)]
     rng = np.random.Generator(np.random.Philox(seed))
     phis = np.column_stack([f.values for f in spec_data.eigenfunctions])
     for _ in range(extra_starts):

@@ -10,8 +10,6 @@ product critical).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -165,17 +163,6 @@ class ExperimentReport:
     fit_window: tuple
     classification: str  # degenerate | nondegenerate | inconclusive
     metadata: dict = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["epsilon", "deficit", "distance", "q_value", "in_fit_window"])
-        for r in self.rows:
-            writer.writerow(
-                [repr(r["epsilon"]), repr(r["deficit"]), repr(r["distance"]),
-                 repr(r["q_value"]), int(r["in_fit_window"])]
-            )
-        return buf.getvalue()
 
 
 def classify(slope: float) -> str:

@@ -12,23 +12,92 @@ from sobolev_lab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
+    OPTIONS,
+    _resolve,
+    build_parser,
     main,
 )
+from sobolev_lab.discretization import build
+from sobolev_lab.geometry import make_product
+
+# for every option, a value of the default's type that is not the default
+OTHER = {
+    "model": "product", "d": 4, "q": 3.0, "n": 64, "b_budget": 1, "seed": 2, "A": 1.5,
+    "B": 0.5, "init": "random", "multistart": True, "k": 3, "mode_index": 2, "eps_lo": 2e-3,
+    "eps_hi": 5e-2, "eps_count": 6, "family": "bubbles_and_constants",
+}
 
 
-def test_constants_writes_report(tmp_path):
+def _flags(values: dict) -> list:
+    argv = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+def _run(argv, tmp_path, name):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return json.loads(out.read_text())
+
+
+def test_constants_writes_report(tmp_path, capsys):
     out = tmp_path / "const.json"
     code = main([
         "constants", "--model", "sphere", "--d", "3", "--q", "4", "--n", "64",
         "--b-budget", "1", "--out", str(out),
     ])
     assert code == EXIT_OK
+    # the nine-row table, then the report path
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5].startswith("A_opt (closed-form-sphere)  ")
+    assert lines[8].endswith("  True")
+    assert lines[9:] == [f"wrote {out}"]
     payload = json.loads(out.read_text())
     assert payload["schema_version"] == 1
     assert payload["config"]["model"] == "sphere"
     assert payload["config"]["n"] == 64
     assert payload["strict_binding"] is True
     assert payload["A_opt"] == pytest.approx(cst.a_opt_sphere_closed_form(3, 4.0))
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_every_option_resolves_from_flag_and_from_config(tmp_path, command):
+    args = {key: OTHER[key] for key in OPTIONS[command]}
+    for key, value in args.items():
+        assert type(value) is type(OPTIONS[command][key]) and value != OPTIONS[command][key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(args))
+    for argv in (_flags(args), ["--config", str(cfg)]):
+        resolved = _resolve(build_parser().parse_args([command, *argv]))
+        assert list(resolved.items()) == list(args.items())
+
+
+def _valid_values(command: str) -> dict:
+    # scan's bubble family needs the sphere, so scan keeps the default family
+    spec = cst.default_spec(build(make_product(4), 64), 3.0)
+    values = {**OTHER, "A": 1.5 * spec.A, "B": spec.B, "family": "constants"}
+    return {key: values[key] for key in OPTIONS[command]}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_every_option_reaches_the_report_config_in_table_order(tmp_path, command):
+    values = _valid_values(command)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    by_flag = _run([command, *_flags(values)], tmp_path, "flags.json")
+    by_config = _run([command, "--config", str(cfg)], tmp_path, "config.json")
+    assert list(by_flag["config"].items()) == list(values.items())
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command", [*OPTIONS, "fit", "reproduce"])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: sobolev-lab {command}")
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -125,7 +194,9 @@ def test_scan_then_fit_round_trip(tmp_path, capsys):
         "--out", str(out), "--csv", str(csv_out),
     ])
     assert code == EXIT_OK
-    assert csv_out.read_text().startswith("epsilon,")
+    csv_lines = csv_out.read_text().splitlines()
+    assert csv_lines[0] == "epsilon,deficit,distance,q_value,in_fit_window"
+    assert len(csv_lines) == 26
     payload = json.loads(out.read_text())
     assert payload["schema_version"] == 1
     assert payload["metadata"]["family"] == "constants"
@@ -320,6 +391,8 @@ def test_thread_cap_is_set_before_blas_loads():
     ["constants", "--n", "64", "--q", "nan"],
     ["minimize", "--n", "64", "--q", "4", "--A", "nan"],
     ["minimize", "--n", "64", "--q", "4", "--B", "nan"],
+    ["spectrum", "--model", "torus"],
+    ["scan", "--family", "spheres"],
 ])
 def test_out_of_range_input_is_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG_ERROR

@@ -93,25 +93,34 @@ def test_estimate_b_opt_deterministic(sphere3, sphere3_disc):
 
 def _b_search_space(disc, k=12):
     sd = laplace_eigenpairs(disc, k)
-    phi = np.column_stack([f.values for f in sd.eigenfunctions])
+    return np.column_stack([f.values for f in sd.eigenfunctions]), sd.eigenvalues
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_b_search_basis_has_closed_form_gram_and_stiffness(disc_name, request):
+    # the premise of _b_ratio_and_grad: PhiᵀWPhi = I and (DPhi)ᵀW(DPhi) = diag(lam)
+    disc = request.getfixturevalue(disc_name)
+    phi, lam = _b_search_space(disc)
     w = disc.quad_weights
     dphi = disc.diff_matrix @ phi
-    return phi, phi.T @ (w[:, None] * phi), dphi.T @ (w[:, None] * dphi)
+    assert np.max(np.abs(phi.T @ (w[:, None] * phi) - np.eye(len(lam)))) <= 1e-13
+    stiff = dphi.T @ (w[:, None] * dphi)
+    assert np.max(np.abs(stiff - np.diag(lam))) <= 1e-12 * lam[-1]
 
 
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_b_ratio_gradient_matches_finite_difference(disc_name, request, rng):
     disc = request.getfixturevalue(disc_name)
-    phi, gram, stiff = _b_search_space(disc)
+    phi, lam = _b_search_space(disc)
     k = phi.shape[1]
     c = np.eye(k)[0] + 0.2 * rng.standard_normal(k)
-    ratio, grad = cst._b_ratio_and_grad(c, disc, phi, gram, stiff)
-    # the Gram-matrix ratio is the reference quotient at the same u
+    ratio, grad = cst._b_ratio_and_grad(c, disc, phi, lam)
+    # the closed-form ratio is the reference quotient at the same u
     assert ratio == pytest.approx(cst._b_objective(disc, phi, c), rel=1e-12, abs=0.0)
     h = 1e-5
     fd = np.array([
-        (cst._b_ratio_and_grad(c + h * e, disc, phi, gram, stiff)[0]
-         - cst._b_ratio_and_grad(c - h * e, disc, phi, gram, stiff)[0]) / (2.0 * h)
+        (cst._b_ratio_and_grad(c + h * e, disc, phi, lam)[0]
+         - cst._b_ratio_and_grad(c - h * e, disc, phi, lam)[0]) / (2.0 * h)
         for e in np.eye(k)
     ])
     assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
@@ -143,7 +152,6 @@ def test_constants_report_sphere(sphere3, sphere3_disc):
     rep = cst.constants_report(sphere3, sphere3_disc, 4.0, b_budget=1)
     assert rep.A_opt_provenance == "closed-form-sphere"
     assert rep.strict_binding
-    assert "A_opt" in rep.to_table()
 
 
 def test_constants_report_product_provenance(product4, product4_disc):

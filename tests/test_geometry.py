@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from sobolev_lab.geometry import (
@@ -49,15 +48,6 @@ def test_make_sphere_fields():
     assert m.scalar_curvature == 6.0
 
 
-def test_sphere_weight_matches_density():
-    m = make_sphere(3)
-    t = np.linspace(0.1, math.pi - 0.1, 7)
-    assert np.allclose(m.weight(t), 4.0 * math.pi * np.sin(t) ** 2)
-    # the weight integrates to the total volume
-    tt = np.linspace(0, math.pi, 20001)
-    assert np.trapezoid(m.weight(tt), tt) == pytest.approx(m.total_volume, rel=1e-8)
-
-
 def test_make_product_fields():
     m = make_product(4)
     assert m.kind is ModelKind.PRODUCT_CIRCLE
@@ -65,12 +55,6 @@ def test_make_product_fields():
     assert m.total_volume == pytest.approx(m.length * 2.0 * math.pi**2, rel=1e-15)
     # cross-section S^3 with unit radius
     assert m.scalar_curvature == 6.0
-
-
-def test_product_weight_constant():
-    m = make_product(5)
-    t = np.linspace(0, m.length, 9)
-    assert np.allclose(m.weight(t), unit_sphere_volume(4))
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, MAX_DIM + 1, 40])
