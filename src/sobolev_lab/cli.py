@@ -104,7 +104,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
             want = type(defaults[key])
-            if not (isinstance(value, want) or want is float and isinstance(value, int)):
+            # bool is a subclass of int: true/false only where the default is a bool
+            if (not (isinstance(value, want) or want is float and isinstance(value, int))
+                    or isinstance(value, bool) and want is not bool):
                 raise ConfigError(f"config key {key!r}: expected {want.__name__}, "
                                   f"got {type(value).__name__}")
             resolved[key] = value

@@ -175,9 +175,10 @@ def euler_lagrange(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarra
 
 def euler_lagrange_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
     """Jacobian J = 2A(-Delta) + 2B - theta (q-1) diag(|u|^{q-2}) of the field in u."""
-    J = 2.0 * spec.A * spec.disc.laplace_matrix + 2.0 * spec.B * np.eye(spec.disc.n)
+    J = 2.0 * spec.A * spec.disc.laplace_matrix
+    J.flat[:: spec.disc.n + 1] += 2.0 * spec.B  # the diagonal, with no n x n temporary
     if theta:
-        J -= theta * (spec.q - 1.0) * np.diag(power_qm2(u, spec.q))
+        J.flat[:: spec.disc.n + 1] -= theta * (spec.q - 1.0) * power_qm2(u, spec.q)
     return J
 
 
@@ -219,12 +220,19 @@ def hessian_matrix(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     """
     check_normalized(spec, u)
     qw = spec.disc.quad_weights
-    S = qw[:, None] * euler_lagrange_jacobian(spec, u.values, 2.0 * quotient(spec, u))
+    S = euler_lagrange_jacobian(spec, u.values, 2.0 * quotient(spec, u))
+    S *= qw[:, None]
     w = qw * power_qm1(u.values, spec.q)
     Su, uS = S @ u.values, u.values @ S
-    PSP = S - np.outer(Su, w) - np.outer(w, uS) + float(u.values @ Su) * np.outer(w, w)
+    # S - Su w^T - w uS^T + (u.Su) w w^T in place, with one n x n buffer
+    outer = np.outer(Su, w)
+    S -= outer
+    S -= np.outer(w, uS, out=outer)
+    S += np.multiply(np.outer(w, w, out=outer), float(u.values @ Su), out=outer)
     sw = np.sqrt(qw)
-    return PSP / sw[:, None] / sw[None, :]
+    S /= sw[:, None]
+    S /= sw[None, :]
+    return S
 
 
 def tangent_reflector(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from . import functionals as fn
 from .discretization import DiscreteFunction, SpectralData, frame_eigenpairs, laplace_eigenpairs
@@ -39,6 +39,8 @@ SPECTRUM_SIZE = 8
 # the rounding floor of the stationarity equation at the current iterate.
 FLOOR_FACTOR = 100.0
 MIN_DAMPING = 1e-6
+# multistart_minimize: values within this relative distance of the lowest tie
+RANK_RTOL = 1e-12
 
 
 class ThresholdAmbiguityWarning(UserWarning):
@@ -55,6 +57,7 @@ class CriticalPoint:
     kernel_basis: list
     converged: bool
     iterations: int
+    _chord: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -81,8 +84,13 @@ def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> Spec
     """
     H, v = fn.hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
     Hv, vH = H @ v, v @ H
-    HRH = H - 2.0 * (np.outer(v, vH) + np.outer(Hv, v)) + 4.0 * float(v @ Hv) * np.outer(v, v)
-    return frame_eigenpairs(spec.disc, HRH[1:, 1:], k, fn.tangent_frame(spec, u))
+    # H - 2 (v vH^T + Hv v^T) + 4 (v.Hv) v v^T in place, with one n x n buffer
+    outer = np.outer(v, vH)
+    outer += np.outer(Hv, v)
+    H -= np.multiply(outer, 2.0, out=outer)
+    H += np.multiply(np.outer(v, v, out=outer), 4.0 * float(v @ Hv), out=outer)
+    del outer  # freed before tangent_frame builds its n x n matrices
+    return frame_eigenpairs(spec.disc, H[1:, 1:], k, fn.tangent_frame(spec, u))
 
 
 def kernel_basis_at(
@@ -106,17 +114,29 @@ def kernel_basis_at(
     return [f for lam, f in zip(spectrum.eigenvalues, spectrum.eigenfunctions) if abs(lam) < cut]
 
 
+def _bordered_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndarray):
+    """Jacobian in (u, theta, mu) of the bordered system of _bordered_newton."""
+    qw, n, l, p = spec.disc.quad_weights, spec.disc.n, K.shape[1], fn.power_qm1(u, spec.q)
+    J = np.zeros((n + 1 + l, n + 1 + l))
+    J[:n, :n] = fn.euler_lagrange_jacobian(spec, u, theta)
+    J[:n, n], J[n, :n] = -p, spec.q * qw * p
+    J[:n, n + 1 :], J[n + 1 :, :n] = -K, K.T * qw[None, :]
+    return J
+
+
 def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndarray,
-                     target: np.ndarray, max_iter: int = NEWTON_MAX):
+                     target: np.ndarray, max_iter: int = NEWTON_MAX, chord=None):
     """Damped Newton on the bordered system in (u, theta, mu):
 
         2A(-Delta u) + 2B u - theta |u|^{q-2} u - K mu = 0,
         int |u|^q dVol = 1,     K^T W u = target,
 
-    with K an n x l block (l = 0 for a plain polish).  Each step is halved
-    until the residual norm drops; iteration stops once the norm is below
-    the rounding floor of the terms of the first equation.  Returns the last
-    u and whether it reached that floor.
+    with K an n x l block (l = 0 for a plain polish).  Given `chord`, LU
+    factors of the Jacobian near the solution, it takes chord steps until one
+    fails to halve the residual norm, then Newton steps from the last iterate.
+    Each Newton step is halved until the residual norm drops; iteration stops
+    once the norm is below the rounding floor of the terms of the first
+    equation.  Returns the last u and whether it reached that floor.
     """
     disc = spec.disc
     qw = disc.quad_weights
@@ -142,12 +162,14 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
         floor = FLOOR_FACTOR * np.finfo(float).eps * _l2_norm(spec, terms)
         if norm <= floor or it == max_iter:
             break
-        J = np.zeros((n + 1 + l, n + 1 + l))
-        J[:n, :n] = fn.euler_lagrange_jacobian(spec, x[:n], x[n])
-        J[:n, n] = -fn.power_qm1(x[:n], q)
-        J[:n, n + 1 :] = -K
-        J[n, :n] = q * qw * fn.power_qm1(x[:n], q)
-        J[n + 1 :, :n] = KW
+        if chord is not None:
+            trial = x - lu_solve(chord, r, check_finite=False)
+            trial_r, trial_norm = residual(trial)
+            if trial_norm <= 0.5 * norm:
+                x, r, norm = trial, trial_r, trial_norm
+                continue
+            chord = None
+        J = _bordered_jacobian(spec, x[:n], x[n], K)
         try:
             step = np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
@@ -214,6 +236,7 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
             step *= 0.5
         else:
             break
+    del lu  # n x n: freed before the polish and the spectrum build theirs
     polished, _ = _bordered_newton(
         spec, u, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), POLISH_NEWTON_MAX
     )
@@ -245,8 +268,9 @@ def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2
 
     Starts: constants, one first-eigenfunction perturbation (its sign flip is
     the same problem: a reflection on the sphere, a half-period shift on the
-    product), bubbles on the sphere, and seeded random smooth fields.  Best
-    certified value wins, ties broken by lower gradient residual.
+    product), bubbles on the sphere, and seeded random smooth fields.  Of the
+    converged results (of all, if none converged), those within RANK_RTOL of
+    the lowest value tie, and the lowest gradient residual among them wins.
     """
     disc = spec.disc
     const = np.ones(disc.n)
@@ -258,12 +282,11 @@ def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2
     for _ in range(extra_starts):
         coeffs = rng.standard_normal(phis.shape[1]) * 0.5 ** np.arange(phis.shape[1])
         starts.append(const + phis @ coeffs)
-    best = None
-    for s in starts:
-        cp = minimize(spec, DiscreteFunction(disc, s))
-        if best is None or (cp.value, cp.grad_residual) < (best.value, best.grad_residual):
-            best = cp
-    return best
+    results = [minimize(spec, DiscreteFunction(disc, s)) for s in starts]
+    pool = [cp for cp in results if cp.converged] or results
+    low = min(cp.value for cp in pool)
+    tied = [cp for cp in pool if cp.value - low <= RANK_RTOL * abs(low)]
+    return min(tied, key=lambda cp: cp.grad_residual)
 
 
 def reduced_functional(
@@ -272,8 +295,10 @@ def reduced_functional(
     """Evaluate the Lyapunov-Schmidt reduced functional at kernel coordinates.
 
     Fixes the kernel component of u - v to `coords` and solves the bordered
-    stationarity system for the orthogonal completion by Newton iteration,
-    so the gradient of the quotient at the returned point lies in the kernel.
+    stationarity system for the orthogonal completion, so the gradient of the
+    quotient at the returned point lies in the kernel.  It takes chord steps on
+    the LU factors of the bordered Jacobian at v (nonsingular: the border
+    removes the kernel), made once and kept on v while the spec is the same.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     l = len(v.kernel_basis)
@@ -284,6 +309,10 @@ def reduced_functional(
     disc = spec.disc
     K = np.column_stack([f.values for f in v.kernel_basis])  # n x l
     target = K.T @ (disc.quad_weights * v.u.values) + coords
-    u, converged = _bordered_newton(spec, v.u.values + K @ coords, 2.0 * v.value, K, target)
+    if v._chord is None or v._chord[0] is not spec:
+        v._chord = (spec, lu_factor(_bordered_jacobian(spec, v.u.values, 2.0 * v.value, K)))
+    u, converged = _bordered_newton(
+        spec, v.u.values + K @ coords, 2.0 * v.value, K, target, chord=v._chord[1]
+    )
     value = fn.quotient(spec, DiscreteFunction(disc, u)) if converged else math.nan
     return ReducedFunctionalSample(value=value, inner_converged=converged)

@@ -393,8 +393,16 @@ def test_thread_cap_is_set_before_blas_loads():
     ["minimize", "--n", "64", "--q", "4", "--B", "nan"],
     ["spectrum", "--model", "torus"],
     ["scan", "--family", "spheres"],
+    # a JSON bool is not an int or a float
+    ["spectrum", "--n", "64", "--config", {"k": True}],
+    ["constants", "--n", "64", "--config", {"seed": False}],
+    ["minimize", "--n", "64", "--q", "4", "--config", {"A": True}],
 ])
-def test_out_of_range_input_is_config_error(argv, capsys):
+def test_out_of_range_input_is_config_error(argv, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(argv[-1], dict):
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
     assert main(argv) == EXIT_CONFIG_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,15 @@ from scipy.linalg import lu_factor, lu_solve
 from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
-from sobolev_lab.discretization import DiscreteFunction, build, inner, laplace_eigenpairs
-from sobolev_lab.geometry import make_sphere
+from sobolev_lab import stability as st
+from sobolev_lab.discretization import (
+    DiscreteFunction,
+    build,
+    frame_eigenpairs,
+    inner,
+    laplace_eigenpairs,
+)
+from sobolev_lab.geometry import make_product, make_sphere
 from sobolev_lab.stability import bubble
 
 
@@ -295,3 +304,170 @@ def test_reduced_functional_converges_at_fine_resolution(fine_degenerate_point):
         sample = opt.reduced_functional(spec, cp, [t])
         assert sample.inner_converged
         assert sample.value > cp.value
+
+
+def _old_euler_lagrange_jacobian(spec, u, theta):
+    J = 2.0 * spec.A * spec.disc.laplace_matrix + 2.0 * spec.B * np.eye(spec.disc.n)
+    if theta:
+        J -= theta * (spec.q - 1.0) * np.diag(fn.power_qm2(u, spec.q))
+    return J
+
+
+def _old_hessian_matrix(spec, u):
+    qw = spec.disc.quad_weights
+    S = qw[:, None] * _old_euler_lagrange_jacobian(spec, u.values, 2.0 * fn.quotient(spec, u))
+    w = qw * fn.power_qm1(u.values, spec.q)
+    Su, uS = S @ u.values, u.values @ S
+    PSP = S - np.outer(Su, w) - np.outer(w, uS) + float(u.values @ Su) * np.outer(w, w)
+    sw = np.sqrt(qw)
+    return PSP / sw[:, None] / sw[None, :]
+
+
+def _old_hessian_spectrum_at(spec, u, k):
+    H, v = _old_hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
+    Hv, vH = H @ v, v @ H
+    HRH = H - 2.0 * (np.outer(v, vH) + np.outer(Hv, v)) + 4.0 * float(v @ Hv) * np.outer(v, v)
+    return frame_eigenpairs(spec.disc, HRH[1:, 1:], k, fn.tangent_frame(spec, u))
+
+
+def _degenerate_spec(model, d, q, n):
+    """The default spec; q None is the critical exponent."""
+    disc = build(make_sphere(d) if model == "sphere" else make_product(d), n)
+    return cst.default_spec(disc, fn.sobolev_conjugate(d) if q is None else q)
+
+
+DEGENERATE = [("sphere", 3, 4.0), ("sphere", 8, 2.5), ("product", 4, None), ("product", 8, None)]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("model,d,q", DEGENERATE)
+def test_in_place_updates_are_bit_identical(model, d, q, n):
+    # the n x n updates are made in place, in the elementwise order of the old expressions
+    spec = _degenerate_spec(model, d, q, n)
+    u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
+    for theta in (0.0, 2.0 * fn.quotient(spec, u)):
+        assert np.array_equal(fn.euler_lagrange_jacobian(spec, u.values, theta),
+                              _old_euler_lagrange_jacobian(spec, u.values, theta))
+    assert np.array_equal(fn.hessian_matrix(spec, u), _old_hessian_matrix(spec, u))
+    got, want = opt.hessian_spectrum_at(spec, u, 6), _old_hessian_spectrum_at(spec, u, 6)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    for f, g in zip(got.eigenfunctions, want.eigenfunctions):
+        assert np.array_equal(f.values, g.values)
+
+
+@pytest.fixture(scope="module", params=["sphere-d3-q4", "product-d4-q2star"])
+def degenerate_point_128(request):
+    """(spec, critical point at the constant) of a degenerate spec at n = 128."""
+    model, d, q = ("sphere", 3, 4.0) if request.param == "sphere-d3-q4" else ("product", 4, None)
+    spec = _degenerate_spec(model, d, q, 128)
+    return spec, opt.minimize(spec, DiscreteFunction(spec.disc, np.ones(128)))
+
+
+def _reference_sample(spec, cp, coords):
+    """reduced_functional by damped Newton with a fresh Jacobian at every step."""
+    K = np.column_stack([f.values for f in cp.kernel_basis])
+    target = K.T @ (spec.disc.quad_weights * cp.u.values) + coords
+    u, converged = opt._bordered_newton(spec, cp.u.values + K @ coords, 2.0 * cp.value, K, target)
+    assert converged
+    return fn.quotient(spec, DiscreteFunction(spec.disc, u))
+
+
+def _coords(cp, t):
+    coords = np.zeros(cp.kernel_dim)
+    coords[0] = t
+    return coords
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(opt, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opt, name, counted)
+    return calls
+
+
+def test_chord_samples_match_full_newton(degenerate_point_128, monkeypatch):
+    # the Lojasiewicz samples, each on the one factorization at the point
+    spec, cp = degenerate_point_128
+    cp = dataclasses.replace(cp)  # no cached factorization
+    samples = [sign * t for t in st.LOJASIEWICZ_SAMPLING for sign in (1.0, -1.0)]
+    jacobians = _counting(monkeypatch, "_bordered_jacobian")
+    chord = [opt.reduced_functional(spec, cp, _coords(cp, c)) for c in samples]
+    assert len(jacobians) == 1
+    monkeypatch.undo()
+    for c, sample in zip(samples, chord):
+        assert sample.inner_converged
+        want = _reference_sample(spec, cp, _coords(cp, c)) - cp.value
+        assert abs(sample.value - cp.value - want) <= 1e-6 * want
+
+
+def test_chord_falls_back_to_newton_far_from_the_point(monkeypatch):
+    spec = _degenerate_spec("sphere", 3, 4.0, 128)
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, np.ones(128)))
+    opt.reduced_functional(spec, cp, [0.02])
+    for t in (1.2, -1.2):
+        jacobians = _counting(monkeypatch, "_bordered_jacobian")
+        sample = opt.reduced_functional(spec, cp, [t])
+        assert jacobians  # damped Newton took over
+        monkeypatch.undo()
+        assert sample.inner_converged
+        assert sample.value == pytest.approx(_reference_sample(spec, cp, [t]), abs=1e-10)
+
+
+def test_lojasiewicz_estimate_factors_once_per_point(degenerate_point_128, monkeypatch):
+    spec, cp = degenerate_point_128
+    cp = dataclasses.replace(cp)
+    factorizations = _counting(monkeypatch, "lu_factor")
+    first = st.lojasiewicz_estimate(spec, cp)
+    assert len(factorizations) == 1
+    assert st.lojasiewicz_estimate(spec, cp) == first
+    assert len(factorizations) == 1
+
+
+def test_chord_factorization_is_never_stale(monkeypatch):
+    spec = _degenerate_spec("sphere", 3, 4.0, 128)
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, np.ones(128)))
+    factorizations = _counting(monkeypatch, "lu_factor")
+    opt.reduced_functional(spec, cp, [0.1])
+    opt.reduced_functional(spec, cp, [0.2])
+    assert len(factorizations) == 1
+    # an equal spec that is not the same object, then a second point
+    opt.reduced_functional(dataclasses.replace(spec), cp, [0.1])
+    assert len(factorizations) == 2
+    opt.reduced_functional(spec, dataclasses.replace(cp), [0.1])
+    assert len(factorizations) == 3
+    # a stale factorization (of spec) would change the bits of other's value
+    other = dataclasses.replace(spec, A=1.01 * spec.A)
+    opt.reduced_functional(spec, cp, [0.1])
+    reused = opt.reduced_functional(other, cp, [0.1])
+    fresh = opt.reduced_functional(other, dataclasses.replace(cp), [0.1])
+    assert reused.inner_converged and reused.value == fresh.value
+
+
+def _multistart_winner(spec, monkeypatch, results):
+    """multistart_minimize's pick when its first minimize calls return `results`."""
+    pending = iter(results)
+    worse = SimpleNamespace(value=2.0, grad_residual=1e-14, converged=True)
+    monkeypatch.setattr(opt, "minimize", lambda spec, init: next(pending, worse))
+    return opt.multistart_minimize(spec, seed=0)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_multistart_ranks_converged_then_value_then_residual(subcritical_spec, monkeypatch, swap):
+    def ranked(a, b):
+        return _multistart_winner(subcritical_spec, monkeypatch, [b, a] if swap else [a, b])
+
+    # values 2e-16 apart are one value: the better-converged result wins
+    loose = SimpleNamespace(value=0.9999999999999998, grad_residual=2.2e-9, converged=True)
+    tight = SimpleNamespace(value=1.0, grad_residual=2.2e-13, converged=True)
+    assert ranked(loose, tight) is tight
+    # an unconverged result loses to a converged one, whatever its value
+    stuck = SimpleNamespace(value=0.5, grad_residual=1e-3, converged=False)
+    assert ranked(stuck, loose) is loose
+    # values further apart than RANK_RTOL rank by value
+    higher = SimpleNamespace(value=1.0 + 1e-9, grad_residual=1e-14, converged=True)
+    assert ranked(higher, loose) is loose
