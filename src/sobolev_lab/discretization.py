@@ -1,9 +1,11 @@
 """Quadrature, differentiation and weighted Laplacians on a ManifoldModel.
 
 The sphere-radial problem is mapped by x = cos t onto (-1, 1), where the
-volume density becomes the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes and
-weights come from the Gauss-Jacobi rule for that weight, so the vanishing
-boundary density is handled analytically.  The radial Laplacian
+volume density becomes the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes x_j and
+weights w_j come from the Gauss-Jacobi rule for that weight, so the vanishing
+boundary density is handled analytically, and the barycentric weights of the
+nodes are (-1)^j sqrt((1 - x_j^2) w_j) in closed form (Wang, Huybrechs &
+Vandewalle, Math. Comp. 83, 2014).  The radial Laplacian
 -Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer eigenfunctions and
 eigenvalues k*(k+d-1).  It is assembled in weak form, W(-Delta) = Dt^T W Dt
 with W the quadrature weights: for degree < n both sides of
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import circulant, eigh
 from scipy.special import roots_jacobi
 
 from .geometry import ManifoldModel, ModelKind, unit_sphere_volume
@@ -34,22 +36,13 @@ class DiscretizationMismatchError(ValueError):
     """Raised when functions built on different discretizations are mixed."""
 
 
-def _barycentric_diff_matrix(x: np.ndarray) -> np.ndarray:
-    """First-derivative collocation matrix on arbitrary distinct nodes.
-
-    Barycentric weights are accumulated in log scale; only their ratios
-    enter the matrix, so the overall normalization is irrelevant.
-    """
-    n = len(x)
+def _barycentric_diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """First-derivative collocation matrix on nodes x, barycentric weights w (any scale)."""
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    logw = -np.sum(np.log(np.abs(diff)), axis=1)
-    sgn = np.prod(np.sign(diff), axis=1)
-    logw -= logw.max()
-    w = sgn * np.exp(logw)
     D = (w[None, :] / w[:, None]) / diff
     np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
+    np.fill_diagonal(D, -D.sum(axis=1))  # so D annihilates constants to rounding
     return D
 
 
@@ -63,11 +56,8 @@ def _fourier_matrices(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
     col_d2[0] = -math.pi**2 / (3.0 * h**2) - 1.0 / 6.0
     m = np.minimum(k, n - k)  # col_d2[k] == col_d2[n - k]: D2 is exactly symmetric
     col_d2[1:] = -((-1.0) ** m) / (2.0 * np.sin(m * h / 2.0) ** 2)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    D = col_d[idx]
-    D2 = col_d2[idx]
     scale = 2.0 * math.pi / length
-    return scale * D, scale**2 * D2
+    return scale * circulant(col_d), scale**2 * circulant(col_d2)
 
 
 @dataclass(frozen=True)
@@ -110,10 +100,13 @@ def _weak_laplacian(Dt: np.ndarray, qw: np.ndarray) -> np.ndarray:
     """W(-Delta) = Dt^T W Dt, exactly symmetric and exactly reflection-symmetric."""
     G = np.sqrt(qw)[:, None] * Dt
     K = G.T @ G  # exactly symmetric (numpy evaluates G^T G by syrk)
+    del G
     # push the row sums to zero so constants are annihilated to rounding
     for _ in range(2):
         K[np.diag_indices_from(K)] -= K @ np.ones(len(qw))
-    return 0.5 * (K + K[::-1, ::-1])  # a commutative sum: both symmetries stay exact
+    K = np.add(K, K[::-1, ::-1])  # a commutative sum: both symmetries stay exact
+    K *= 0.5
+    return K
 
 
 def build(model: ManifoldModel, n: int) -> Discretization:
@@ -128,9 +121,11 @@ def build(model: ManifoldModel, n: int) -> Discretization:
         wq = wq[::-1].copy()
         t = np.arccos(x)
         qw = unit_sphere_volume(d - 1) * wq
-        Dx = _barycentric_diff_matrix(x)
-        Dt = -np.sin(t)[:, None] * Dx
-        L = _weak_laplacian(Dt, qw) / qw[:, None]
+        sin_t = np.sin(t)  # sqrt(1 - x^2) without its cancellation at the poles
+        Dt = _barycentric_diff_matrix(x, (-1.0) ** np.arange(n) * sin_t * np.sqrt(wq))
+        Dt *= -sin_t[:, None]
+        L = _weak_laplacian(Dt, qw)
+        L /= qw[:, None]
         return Discretization(model, n, t, qw, Dt, L, np.arange(n)[::-1])
     if n % 2 != 0:
         raise ValueError("periodic discretization requires even n")

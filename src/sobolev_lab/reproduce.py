@@ -47,8 +47,8 @@ def _case(name, fn_check):
     }
 
 
-def _sphere_subcritical_spec(n: int, d: int = 3, q: float = 4.0) -> QuotientSpec:
-    return cst.default_spec(build(make_sphere(d), n), q)
+def _sphere_subcritical_spec(n: int) -> QuotientSpec:
+    return cst.default_spec(build(make_sphere(3), n), 4.0)
 
 
 def check_spectral_gap(n: int = 256):
@@ -88,7 +88,8 @@ def check_bubble_extremality(n: int = 256):
         disc=disc,
     )
     worst = max(abs(fn.deficit(spec, st.bubble(disc, 1.0, b))) for b in fn.BUBBLE_STARTS)
-    return worst < 1e-6, worst, "max |Q(bubble) - 1| over b in {0.3, 0.6, 0.9}"
+    starts = ", ".join(map(str, fn.BUBBLE_STARTS))
+    return worst < 1e-6, worst, f"max |Q(bubble) - 1| over b in {{{starts}}}"
 
 
 def _fd_quotients(spec, u, du, phi, dphi, steps):
@@ -108,10 +109,10 @@ def _fd_quotients(spec, u, du, phi, dphi, steps):
     return num / (np.exp(spec.q * np.log(np.abs(v))) @ w) ** (2.0 / spec.q)
 
 
-def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
+def check_variation_formulas(n: int = 96):
     worst_g, worst_h = 0.0, 0.0
     specs = [
-        _sphere_subcritical_spec(n, 3, 4.0),
+        _sphere_subcritical_spec(n),
         cst.default_spec(build(make_product(4), n if n % 2 == 0 else n + 1), 3.5),
     ]
     # Richardson-combined central differences at steps h and 2h
@@ -121,8 +122,8 @@ def check_variation_formulas(n: int = 96, triples: int = 50, seed: int = 2024):
         D = disc.diff_matrix
         sd = laplace_eigenpairs(disc, 8)
         phis = np.column_stack([f.values for f in sd.eigenfunctions])
-        rng = np.random.Generator(np.random.Philox(seed))
-        for _ in range(triples):
+        rng = np.random.Generator(np.random.Philox(2024))
+        for _ in range(50):
             coeffs = rng.standard_normal(8) * 0.4 ** np.arange(8)
             u = fn.normalize(
                 DiscreteFunction(disc, np.abs(2.0 + phis @ coeffs)), spec.q
@@ -180,14 +181,14 @@ def check_product_degenerate_slope(n: int = 128):
     return ok, rep.fitted_slope, f"slope {rep.fitted_slope:.4f}, tol +/-{tol}"
 
 
-def check_nondegenerate_control(n: int = 128, seed: int = 7):
+def check_nondegenerate_control(n: int = 128):
     spec = cst.default_spec(build(make_sphere(3), n), 4.0, a_factor=1.1)
     disc = spec.disc
     ray = st.ray_from_constants(spec)
     rep = st.ray_scan(spec, ray, "constants")
     sd = laplace_eigenpairs(disc, 6)
     phis = np.column_stack([f.values for f in sd.eigenfunctions])
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(7))
     init = DiscreteFunction(disc, 1.0 + phis @ (0.3 * rng.standard_normal(6)))
     cp = opt.minimize(spec, init)
     tol = _slope_tol(max(n, 256))  # quadratic signal is far above the noise floor
@@ -206,14 +207,14 @@ def check_lojasiewicz(n: int = 128):
     return ok, est, f"reduced-functional exponent {est:.4f}"
 
 
-def check_b_estimator(n: int = 64, budget: int = 4):
+def check_b_estimator(n: int = 64):
     model_s = make_sphere(3)
     disc_s = build(model_s, n)
-    bs = cst.estimate_b_opt(model_s, disc_s, budget=budget, seed=0)
+    bs = cst.estimate_b_opt(model_s, disc_s, budget=4, seed=0)
     beta_s = cst.beta_constant(model_s)
     model_p = make_product(4)
     disc_p = build(model_p, n)
-    bp = cst.estimate_b_opt(model_p, disc_p, budget=budget, seed=0)
+    bp = cst.estimate_b_opt(model_p, disc_p, budget=4, seed=0)
     beta_p = cst.beta_constant(model_p)
     ok = bs >= beta_s - 1e-10 and bp >= beta_p - 1e-10 and abs(bs - beta_s) < 1e-6
     return ok, bs, (
@@ -222,11 +223,11 @@ def check_b_estimator(n: int = 64, budget: int = 4):
     )
 
 
-def check_deficit_nonnegativity(n: int = 64, count: int = 10_000, seed: int = 42):
+def check_deficit_nonnegativity(n: int = 64, count: int = 10_000):
     spec = _sphere_subcritical_spec(n)
     disc = spec.disc
     phis = np.column_stack([f.values for f in laplace_eigenpairs(disc, 10).eigenfunctions])
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(42))
     worst = math.inf
     # fn.deficit on chunks of samples; a row holds one sample's 10 coefficients, then its offset
     for first in range(0, count, DEFICIT_CHUNK_ROWS):

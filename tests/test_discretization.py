@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.special import roots_jacobi
 
 from sobolev_lab.discretization import (
     MIN_NODES,
     DiscreteFunction,
     DiscretizationMismatchError,
+    _fourier_matrices,
     _weak_laplacian,
     build,
     gradient_norm_sq,
@@ -213,3 +216,60 @@ def test_eigenfunctions_are_even_or_odd(model, d, n):
     R = disc.mirror
     for f in laplace_eigenpairs(disc, 12).eigenfunctions:
         assert np.array_equal(f.values[R], f.values) or np.array_equal(f.values[R], -f.values)
+
+
+def _log_scale_diff_matrix(x):
+    """Reference: barycentric weights of arbitrary nodes, accumulated in log scale."""
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    logw = -np.sum(np.log(np.abs(diff)), axis=1)
+    sgn = np.prod(np.sign(diff), axis=1)
+    logw -= logw.max()
+    w = sgn * np.exp(logw)
+    D = (w[None, :] / w[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("n", [16, 17, 64, 65, 256, 257, 512, 1024])
+def test_sphere_diff_matrix_matches_log_scale_weights(d, n):
+    a = (d - 2) / 2.0
+    x = roots_jacobi(n, a, a)[0][::-1].copy()
+    want = -np.sin(np.arccos(x))[:, None] * _log_scale_diff_matrix(x)
+    got = build(make_sphere(d), n).diff_matrix
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_product_matrices_match_index_gather(n):
+    model = make_product(4)
+    h = 2.0 * math.pi / n
+    k = np.arange(1, n)
+    col_d = np.zeros(n)
+    col_d[1:] = 0.5 * (-1.0) ** k / np.tan(k * h / 2.0)
+    col_d2 = np.zeros(n)
+    col_d2[0] = -math.pi**2 / (3.0 * h**2) - 1.0 / 6.0
+    m = np.minimum(k, n - k)
+    col_d2[1:] = -((-1.0) ** m) / (2.0 * np.sin(m * h / 2.0) ** 2)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    scale = 2.0 * math.pi / model.length
+    D, D2 = _fourier_matrices(n, model.length)
+    assert np.array_equal(D, scale * col_d[idx])
+    assert np.array_equal(D2, scale**2 * col_d2[idx])
+    disc = build(model, n)
+    assert np.array_equal(disc.diff_matrix, D)
+    assert np.array_equal(disc.laplace_matrix, -D2)
+
+
+def test_sphere_build_peak_memory():
+    n = 1024
+    build(make_sphere(3), 64)  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        build(make_sphere(3), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8 + 2**20
