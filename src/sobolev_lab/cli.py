@@ -195,7 +195,7 @@ def cmd_constants(args) -> int:
         raise ConfigError(f"b_budget must be >= 0, got {cfg['b_budget']}")
     model, disc = _build_disc(cfg)
     q = _resolve_q(cfg, model)
-    report = cst.constants_report(model, disc, q, b_budget=cfg["b_budget"], seed=cfg["seed"])
+    report = cst.constants_report(disc, q, b_budget=cfg["b_budget"], seed=cfg["seed"])
     print(_constants_table(report))
     if args.out:
         _emit({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report), "config": cfg},

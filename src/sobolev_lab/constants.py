@@ -177,8 +177,9 @@ class ConstantsReport:
             raise ValueError("S_d must be positive")
 
 
-def a_opt_default(model: ManifoldModel, disc: Discretization, q: float) -> tuple[float, str]:
-    """The default A_opt of a model at exponent q, with its provenance."""
+def a_opt_default(disc: Discretization, q: float) -> tuple[float, str]:
+    """The default A_opt of disc's model at exponent q, with its provenance."""
+    model = disc.model
     if model.kind is ModelKind.SPHERE_RADIAL:
         return a_opt_sphere_closed_form(model.dim, q), "closed-form-sphere"
     if abs(q - sobolev_conjugate(model.dim)) < 1e-12:
@@ -188,20 +189,17 @@ def a_opt_default(model: ManifoldModel, disc: Discretization, q: float) -> tuple
 
 def default_spec(disc: Discretization, q: float, a_factor: float = 1.0) -> QuotientSpec:
     """A = a_factor * A_opt and B = Vol^{2/q-1}: with a_factor 1, constants have Q = 1."""
-    model = disc.model
-    a_opt, _ = a_opt_default(model, disc, q)
-    return QuotientSpec(A=a_factor * a_opt, B=model.total_volume ** (2.0 / q - 1.0), q=q, disc=disc)
+    a_opt, _ = a_opt_default(disc, q)
+    B = disc.model.total_volume ** (2.0 / q - 1.0)
+    return QuotientSpec(A=a_factor * a_opt, B=B, q=q, disc=disc)
 
 
 def constants_report(
-    model: ManifoldModel,
-    disc: Discretization,
-    q: float,
-    b_budget: int = 4,
-    seed: int = 0,
+    disc: Discretization, q: float, b_budget: int = 4, seed: int = 0
 ) -> ConstantsReport:
+    model = disc.model
     d = model.dim
-    a_opt, provenance = a_opt_default(model, disc, q)
+    a_opt, provenance = a_opt_default(disc, q)
     return ConstantsReport(
         model=model.kind.value,
         d=d,

@@ -211,26 +211,16 @@ def hessian_form(
 
 
 def hessian_matrix(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
-    """Second-variation matrix in the quadrature-orthonormal frame.
+    """Jacobian J(u, 2Q) of the Euler-Lagrange field in the quadrature-orthonormal frame.
 
-    Symmetric up to rounding, as W(-Delta) is.  The direction u is deflated
-    by the (non-orthogonal) tangent projection P = I - u w^T, applied as a
-    rank-two update, so the matrix carries one artificial zero mode along u;
-    spectrum extraction compresses onto the tangent space explicitly.
+    W^{1/2} J W^{-1/2}, symmetric up to rounding, as W(-Delta) is.  Its
+    compression onto the tangent space (tangent_frame) is the constrained
+    Hessian: the tangent projection is the identity there.
     """
     check_normalized(spec, u)
-    qw = spec.disc.quad_weights
+    sw = np.sqrt(spec.disc.quad_weights)
     S = euler_lagrange_jacobian(spec, u.values, 2.0 * quotient(spec, u))
-    S *= qw[:, None]
-    w = qw * power_qm1(u.values, spec.q)
-    Su, uS = S @ u.values, u.values @ S
-    # S - Su w^T - w uS^T + (u.Su) w w^T in place, with one n x n buffer
-    outer = np.outer(Su, w)
-    S -= outer
-    S -= np.outer(w, uS, out=outer)
-    S += np.multiply(np.outer(w, w, out=outer), float(u.values @ Su), out=outer)
-    sw = np.sqrt(qw)
-    S /= sw[:, None]
+    S *= sw[:, None]
     S /= sw[None, :]
     return S
 
@@ -250,4 +240,7 @@ def tangent_frame(spec: QuotientSpec, u: DiscreteFunction) -> np.ndarray:
     i.e. the corresponding functions phi = W^{-1/2} z are tangent at u.
     """
     v = tangent_reflector(spec, u)
-    return np.eye(len(v))[:, 1:] - 2.0 * np.outer(v, v[1:])
+    n = len(v)
+    Z = np.outer(v, -2.0 * v[1:])
+    Z.flat[n - 1 :: n] += 1.0  # the entries (j + 1, j): columns 1..n-1 of the identity
+    return Z

@@ -78,7 +78,7 @@ def _l2_norm(spec: QuotientSpec, values: np.ndarray) -> float:
 
 
 def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> SpectralData:
-    """Bottom-k eigenpairs of the constrained Hessian on the tangent space.
+    """Bottom-k eigenpairs of the constrained Hessian Z^T H Z on the tangent space.
 
     Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.
     """
@@ -89,20 +89,16 @@ def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> Spec
     outer += np.outer(Hv, v)
     H -= np.multiply(outer, 2.0, out=outer)
     H += np.multiply(np.outer(v, v, out=outer), 4.0 * float(v @ Hv), out=outer)
-    del outer  # freed before tangent_frame builds its n x n matrices
+    del outer  # freed before tangent_frame builds its n x (n-1) frame
     return frame_eigenpairs(spec.disc, H[1:, 1:], k, fn.tangent_frame(spec, u))
 
 
-def kernel_basis_at(
-    spec: QuotientSpec, u: DiscreteFunction, spectrum: SpectralData | None = None
-) -> list:
+def kernel_basis_at(spectrum: SpectralData) -> list:
     """Tangent eigenfunctions with |eigenvalue| below KERNEL_THRESHOLD * spectral scale.
 
     The scale is the largest magnitude in the bottom tangent spectrum, which
     does not grow with the resolution the way the operator norm does.
     """
-    if spectrum is None:
-        spectrum = hessian_spectrum_at(spec, u, min(spec.disc.n - 1, 12))
     lams = np.abs(spectrum.eigenvalues)
     cut = KERNEL_THRESHOLD * max(1.0, float(np.max(lams)))
     if np.any((lams > cut / 10.0) & (lams < cut * 10.0)):
@@ -250,7 +246,7 @@ def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
     spectrum = hessian_spectrum_at(spec, u, k)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ThresholdAmbiguityWarning)
-        kernel = kernel_basis_at(spec, u, spectrum)
+        kernel = kernel_basis_at(spectrum)
     return CriticalPoint(
         u=u,
         value=qval,

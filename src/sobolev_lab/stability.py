@@ -140,19 +140,21 @@ def ray_from_constants(
 
 
 def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope of log y against log x and its standard error; NaN if x is constant."""
+    """Least-squares slope of log y against log x and its standard error.
+
+    Both are NaN if x is constant.  The error is NaN when no residual is
+    left to estimate it from: for two points, or x constant up to rounding.
+    """
     lx, ly = np.log(x), np.log(y)
     m = len(lx)
     if m < 2 or np.all(lx == lx[0]):
         return math.nan, math.nan
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
     slope = float(coeffs[0])
-    if m > 2 and len(residuals):
-        var = float(residuals[0]) / (m - 2)
-        stderr = math.sqrt(var / float(np.sum((lx - lx.mean()) ** 2)))
-    else:
-        stderr = 0.0
-    return slope, stderr
+    if m == 2 or not len(residuals):
+        return slope, math.nan
+    var = float(residuals[0]) / (m - 2)
+    return slope, math.sqrt(var / float(np.sum((lx - lx.mean()) ** 2)))
 
 
 @dataclass

@@ -277,6 +277,16 @@ def test_fit_with_equal_distances_is_numerical_failure(tmp_path, capfd):
     assert captured.err.count("\n") == 1
 
 
+def test_fit_with_two_points_reports_no_error(tmp_path, capsys):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"rows": [
+        {"deficit": 1e-4, "distance": 0.01, "in_fit_window": True},
+        {"deficit": 1.7e-3, "distance": 0.02, "in_fit_window": True},
+    ]}))
+    assert main(["fit", "--input", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "slope 4.0875 +/- nan over 2 points -> degenerate\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--n", "64", "--q", "4", "--A", "1e300"],
     ["minimize", "--n", "64", "--q", "4", "--B", "1e300"],

@@ -148,16 +148,16 @@ def test_estimate_b_opt_certifies_every_start_and_end(monkeypatch, sphere3, sphe
     assert len(calls) >= 2 * (1 + 4 + 3 + budget)
 
 
-def test_constants_report_sphere(sphere3, sphere3_disc):
-    rep = cst.constants_report(sphere3, sphere3_disc, 4.0, b_budget=1)
+def test_constants_report_sphere(sphere3_disc):
+    rep = cst.constants_report(sphere3_disc, 4.0, b_budget=1)
     assert rep.A_opt_provenance == "closed-form-sphere"
     assert rep.strict_binding
 
 
 def test_constants_report_product_provenance(product4, product4_disc):
-    critical = cst.constants_report(product4, product4_disc, 4.0, b_budget=1)
+    critical = cst.constants_report(product4_disc, 4.0, b_budget=1)
     assert critical.A_opt_provenance == "product-critical"
-    subcrit = cst.constants_report(product4, product4_disc, 3.0, b_budget=1)
+    subcrit = cst.constants_report(product4_disc, 3.0, b_budget=1)
     assert subcrit.A_opt_provenance == "spectral-gap"
     assert subcrit.A_opt == pytest.approx(
         1.0 / 2.0 * product4.total_volume ** (2.0 / 3.0 - 1.0), rel=1e-10

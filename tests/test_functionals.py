@@ -207,12 +207,11 @@ def test_hessian_matrix_matches_form(subcritical_spec, rng):
     u = _normalized_sample(spec, rng)
     H = fn.hessian_matrix(spec, u)
     sw = np.sqrt(disc.quad_weights)
-    phi = rng.standard_normal(disc.n)
-    eta = rng.standard_normal(disc.n)
-    quad = float((sw * phi) @ H @ (sw * eta))
-    form = fn.hessian_form(
-        spec, u, DiscreteFunction(disc, phi), DiscreteFunction(disc, eta)
-    )
+    # H is the Hessian on tangent directions only
+    phi = fn.project_tangent(spec, u, DiscreteFunction(disc, rng.standard_normal(disc.n)))
+    eta = fn.project_tangent(spec, u, DiscreteFunction(disc, rng.standard_normal(disc.n)))
+    quad = float((sw * phi.values) @ H @ (sw * eta.values))
+    form = fn.hessian_form(spec, u, phi, eta)
     assert quad == pytest.approx(form, rel=1e-9, abs=1e-11)
 
 
@@ -235,11 +234,13 @@ def _dense_hessian(spec, u):
 
 @pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
 def test_hessian_matrix_matches_dense_projection(spec_name, request, rng):
+    # the projection P is the identity on tangent vectors: the compressions agree
     spec = request.getfixturevalue(spec_name)
     u = _normalized_sample(spec, rng)
-    dense = _dense_hessian(spec, u)
-    H = fn.hessian_matrix(spec, u)
-    assert np.linalg.norm(H - dense) <= 1e-12 * np.linalg.norm(dense)
+    Z = fn.tangent_frame(spec, u)
+    H = Z.T @ fn.hessian_matrix(spec, u) @ Z
+    dense = Z.T @ _dense_hessian(spec, u) @ Z
+    assert np.linalg.norm(H - dense) <= 1e-12 * np.linalg.norm(H, 2)
 
 
 @pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -85,7 +86,7 @@ def test_kernel_basis_degenerate_constant(subcritical_spec):
     # at (A_opt, beta-compatible B) the first mode is flat: kernel dim >= 1
     spec = subcritical_spec
     c = _constant(spec.disc, spec.q)
-    kernel = opt.kernel_basis_at(spec, c)
+    kernel = opt.kernel_basis_at(opt.hessian_spectrum_at(spec, c, 12))
     assert len(kernel) == 1
 
 
@@ -93,7 +94,7 @@ def test_kernel_empty_off_optimal(sphere3_disc):
     q = 4.0
     spec = cst.default_spec(sphere3_disc, q, 1.1)
     c = _constant(sphere3_disc, q)
-    assert opt.kernel_basis_at(spec, c) == []
+    assert opt.kernel_basis_at(opt.hessian_spectrum_at(spec, c, 12)) == []
 
 
 def test_kernel_empty_off_optimal_at_fine_resolution():
@@ -101,7 +102,7 @@ def test_kernel_empty_off_optimal_at_fine_resolution():
     disc = build(make_sphere(3), 1024)
     q = 4.0
     spec = cst.default_spec(disc, q, 1.1)
-    assert opt.kernel_basis_at(spec, _constant(disc, q)) == []
+    assert opt.kernel_basis_at(opt.hessian_spectrum_at(spec, _constant(disc, q), 12)) == []
 
 
 def test_minimize_from_constant_is_immediate(subcritical_spec):
@@ -306,25 +307,21 @@ def test_reduced_functional_converges_at_fine_resolution(fine_degenerate_point):
         assert sample.value > cp.value
 
 
-def _old_euler_lagrange_jacobian(spec, u, theta):
+def _out_of_place_euler_lagrange_jacobian(spec, u, theta):
     J = 2.0 * spec.A * spec.disc.laplace_matrix + 2.0 * spec.B * np.eye(spec.disc.n)
     if theta:
         J -= theta * (spec.q - 1.0) * np.diag(fn.power_qm2(u, spec.q))
     return J
 
 
-def _old_hessian_matrix(spec, u):
-    qw = spec.disc.quad_weights
-    S = qw[:, None] * _old_euler_lagrange_jacobian(spec, u.values, 2.0 * fn.quotient(spec, u))
-    w = qw * fn.power_qm1(u.values, spec.q)
-    Su, uS = S @ u.values, u.values @ S
-    PSP = S - np.outer(Su, w) - np.outer(w, uS) + float(u.values @ Su) * np.outer(w, w)
-    sw = np.sqrt(qw)
-    return PSP / sw[:, None] / sw[None, :]
+def _out_of_place_hessian_matrix(spec, u):
+    sw = np.sqrt(spec.disc.quad_weights)
+    J = _out_of_place_euler_lagrange_jacobian(spec, u.values, 2.0 * fn.quotient(spec, u))
+    return J * sw[:, None] / sw[None, :]
 
 
-def _old_hessian_spectrum_at(spec, u, k):
-    H, v = _old_hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
+def _out_of_place_hessian_spectrum_at(spec, u, k):
+    H, v = _out_of_place_hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
     Hv, vH = H @ v, v @ H
     HRH = H - 2.0 * (np.outer(v, vH) + np.outer(Hv, v)) + 4.0 * float(v @ Hv) * np.outer(v, v)
     return frame_eigenpairs(spec.disc, HRH[1:, 1:], k, fn.tangent_frame(spec, u))
@@ -342,17 +339,34 @@ DEGENERATE = [("sphere", 3, 4.0), ("sphere", 8, 2.5), ("product", 4, None), ("pr
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("model,d,q", DEGENERATE)
 def test_in_place_updates_are_bit_identical(model, d, q, n):
-    # the n x n updates are made in place, in the elementwise order of the old expressions
+    # the n x n updates are made in place, in the elementwise order of the expressions above
     spec = _degenerate_spec(model, d, q, n)
     u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
     for theta in (0.0, 2.0 * fn.quotient(spec, u)):
         assert np.array_equal(fn.euler_lagrange_jacobian(spec, u.values, theta),
-                              _old_euler_lagrange_jacobian(spec, u.values, theta))
-    assert np.array_equal(fn.hessian_matrix(spec, u), _old_hessian_matrix(spec, u))
-    got, want = opt.hessian_spectrum_at(spec, u, 6), _old_hessian_spectrum_at(spec, u, 6)
+                              _out_of_place_euler_lagrange_jacobian(spec, u.values, theta))
+    assert np.array_equal(fn.hessian_matrix(spec, u), _out_of_place_hessian_matrix(spec, u))
+    v = fn.tangent_reflector(spec, u)
+    assert np.array_equal(fn.tangent_frame(spec, u), np.eye(n)[:, 1:] - 2.0 * np.outer(v, v[1:]))
+    got = opt.hessian_spectrum_at(spec, u, 6)
+    want = _out_of_place_hessian_spectrum_at(spec, u, 6)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     for f, g in zip(got.eigenfunctions, want.eigenfunctions):
         assert np.array_equal(f.values, g.values)
+
+
+def test_hessian_spectrum_at_peak_memory():
+    # the Hessian, one rank-two buffer and its temporary: at most three n x n arrays at once
+    n = 1024
+    spec = _degenerate_spec("sphere", 3, 4.0, n)
+    u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
+    tracemalloc.start()
+    try:
+        opt.hessian_spectrum_at(spec, u, opt.SPECTRUM_SIZE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8 + 2**20
 
 
 @pytest.fixture(scope="module", params=["sphere-d3-q4", "product-d4-q2star"])

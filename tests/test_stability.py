@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ def test_fit_loglog_recovers_power_law():
 def test_fit_loglog_is_nan_when_all_x_are_equal():
     slope, stderr = st.fit_loglog(np.full(5, 0.01), np.geomspace(1e-4, 1e-2, 5))
     assert math.isnan(slope) and math.isnan(stderr)
+
+
+def test_fit_loglog_stderr_is_nan_for_two_points():
+    # two points fit the line exactly and leave no residual to estimate the error from
+    slope, stderr = st.fit_loglog(np.array([0.01, 0.02]), np.array([1e-4, 1.7e-3]))
+    assert slope == pytest.approx(math.log2(17.0), rel=1e-12)
+    assert math.isnan(stderr)
+
+
+def test_fit_loglog_stderr_is_nan_when_x_is_constant_up_to_rounding():
+    # log x differs in the last bits only: the least-squares problem has rank one
+    x = np.array([0.01, np.nextafter(0.01, 1.0), 0.01 * (1.0 + 16 * 1.1e-16)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # polyfit's RankWarning
+        _, stderr = st.fit_loglog(x, np.array([1e-4, 2e-4, 3e-4]))
+    assert math.isnan(stderr)
 
 
 def test_ray_scan_degenerate_slope_and_report(subcritical_spec):
