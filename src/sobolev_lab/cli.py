@@ -327,7 +327,7 @@ def cmd_fit(args) -> int:
     y = np.array([r["deficit"] for r in window])
     slope, stderr = st.fit_loglog(x, y)
     if math.isnan(slope):
-        raise NumericalError("no slope: all distances in the fit window are equal")
+        raise NumericalError("no slope: all distances in the fit window are equal to rounding")
     verdict = st.classify(slope)
     print(f"slope {slope:.4f} +/- {stderr:.1e} over {len(window)} points -> {verdict}")
     return EXIT_OK

@@ -1,11 +1,11 @@
 """Deficit/distance experiments along rays from extremal functions.
 
-The central objects are one-parameter rays u_eps = base + eps * direction
-leaving a normalized extremal, the Sobolev deficit Q(u) - 1, and the
-normalized W^{1,2} distance to a family of extremals.  A log-log fit of
-deficit against distance estimates the stability exponent: 2 for
-non-degenerate specs, 4 in the degenerate cases (sphere sub-critical,
-product critical).
+The central objects are rays u_eps = base + eps * direction leaving a normalized
+extremal, the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family
+of extremals: the constants, or with them the bubbles at both poles, whose nearest b is
+bracketed on a grid and solved by brentq, its distance taken from the formed residual.
+A log-log fit of deficit against distance estimates the stability exponent: 2 for
+non-degenerate specs, 4 in the degenerate cases (sphere sub-critical, product critical).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import functionals as fn
 from .discretization import DiscreteFunction, Discretization, _check_same, laplace_eigenpairs
@@ -26,17 +27,20 @@ NOISE_FLOOR_FACTOR = 100.0
 CLASSIFY_MARGIN = 0.5
 MIN_FIT_POINTS = 5  # a ray scan fits its exponent to at least this many points
 LOJASIEWICZ_SAMPLING = np.geomspace(0.02, 0.2, 10)
+BUBBLE_END = math.atanh(1.0 - 1e-6)  # the bubbles' |b| <= 1 - 1e-6, in s = artanh b
+BUBBLE_STEPS = 15  # steps of their search grid in s, times max(1, |e|); see _distance_to_bubbles
 
 
 def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
-    """Spherical extremal a*(1 - b*cos t)^{(2-d)/2}, pole frozen at t = 0."""
+    """Spherical extremal a*(1 - b*cos t)^{(2-d)/2}, pole at t = 0; b < 0 puts it at t = pi."""
     if disc.model.kind is not ModelKind.SPHERE_RADIAL:
         raise ValueError("bubbles are defined on the sphere-radial model only")
     if a == 0:
         raise ValueError("amplitude a must be nonzero")
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"b must lie in (0, 1), got {b}")
-    return DiscreteFunction(disc, a * fn.bubble_profile(np.cos(disc.nodes), b, disc.model.dim))
+    if not 0.0 < abs(b) < 1.0:
+        raise ValueError(f"b must satisfy 0 < |b| < 1, got {b}")
+    g = fn.bubble_profile(np.cos(disc.nodes), abs(b), disc.model.dim)
+    return DiscreteFunction(disc, a * (g if b > 0 else g[disc.mirror]))
 
 
 def _w12_pair(wf: np.ndarray, h: np.ndarray) -> float:
@@ -53,37 +57,43 @@ def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
 
 
 def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> float:
-    # W^{1,2} least squares on raw rows [f; Df]: closed form in a, golden section
-    # in b.  The residual r = u - a g is formed (||u||^2 - <u,g>^2/||g||^2 cancels
-    # to noise on an exact bubble) and differentiated as D r: Du - a Dg loses up
-    # to 40x more digits near an extremal, as D is O(n^2) on the O(1) parts of u
-    # and g.  The distance is linear in |b - b*| on an exact bubble, so all 80
-    # steps run (bracket ~1e-17) to keep it at rounding level there.
+    # W^{1,2} least squares on raw rows [f; Df].  A south-pole bubble is a reflected north-pole
+    # one, so one search in b >= 0 runs on u and on u[mirror].  a(b) is closed form, and the
+    # envelope derivative d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to +
+    # on the grid (step ~0.5 / max(1, |e|) in s, as |d_s log g| <= 2|e|) around each minimum
+    # in b; brentq solves it to rtol 4 eps, as an exact bubble's distance is linear in |b - b*|.
+    # A grid end counts unless the distance falls from it into the grid.  r is formed (||u||^2 -
+    # <u,g>^2/||g||^2 is noise on a bubble) and D r taken: Du - a Dg loses up to 40x more
+    # digits, as D is O(n^2) on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
-    wu, g, r = w * u, np.empty_like(u), np.empty_like(u)
+    e = (2.0 - d) / 2.0
+    grid = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
+    base = 1.0 - np.outer(cos_t, grid)
+    G, dG = base**e, (-e * cos_t)[:, None] * base ** (e - 1.0)
+    DG, DdG = D @ G, D @ dG
+    g, dg, r = np.empty_like(u), np.empty_like(u), np.empty_like(u)
 
-    def dist_at(b: float) -> float:
+    def fit(b: float, uu: np.ndarray) -> tuple[float, float]:  # (half slope, distance^2) at b
         g[0] = fn.bubble_profile(cos_t, b, d)
         np.matmul(D, g[0], out=g[1])
-        a = _w12_pair(wu, g) / _w12_pair(w * g, g)
-        np.subtract(u[0], a * g[0], out=r[0])
-        np.matmul(D, r[0], out=r[1])
-        return math.sqrt(_w12_pair(w * r, r)) / norm_u
+        np.matmul(D, np.multiply(-e * cos_t / (1.0 - b * cos_t), g[0], out=dg[0]), out=dg[1])
+        a = _w12_pair(w * uu, g) / _w12_pair(w * g, g)
+        np.matmul(D, np.subtract(uu[0], a * g[0], out=r[0]), out=r[1])
+        return -a * _w12_pair(w * r, dg), _w12_pair(w * r, r)
 
-    lo, hi = 1e-6, 1.0 - 1e-6
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = dist_at(x1), dist_at(x2)
-    for _ in range(80):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = dist_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = dist_at(x2)
-    return min(f1, f2)
+    dists = []
+    for uu in (u, np.stack([u[0][disc.mirror], D @ u[0][disc.mirror]])):  # poles t = 0, pi
+        wu = w * uu
+        a = (wu[0] @ G + wu[1] @ DG) / (w @ (G * G + DG * DG))
+        slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * (w @ (G * dG + DG * DdG)))
+        roots = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
+        for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0)):
+            try:
+                roots.append(brentq(lambda b: fit(b, uu)[0], grid[i], grid[i + 1], xtol=1e-300))
+            except ValueError:  # the slope is zero to rounding at a grid point
+                roots += [grid[i], grid[i + 1]]
+        dists += [fit(b, uu)[1] for b in roots]
+    return math.sqrt(min(dists)) / norm_u
 
 
 def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
@@ -142,16 +152,16 @@ def ray_from_constants(
 def fit_loglog(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope of log y against log x and its standard error.
 
-    Both are NaN if x is constant.  The error is NaN when no residual is
-    left to estimate it from: for two points, or x constant up to rounding.
+    Both are NaN if x is constant up to rounding, with log x spread below polyfit's rank
+    cut relative to max(1, |log x|).  The error is NaN for two points: no residual is left.
     """
     lx, ly = np.log(x), np.log(y)
     m = len(lx)
-    if m < 2 or np.all(lx == lx[0]):
+    if m < 2 or np.std(lx) <= 4 * m * np.finfo(float).eps * max(1.0, np.max(np.abs(lx))):
         return math.nan, math.nan
     coeffs, residuals, *_ = np.polyfit(lx, ly, 1, full=True)
     slope = float(coeffs[0])
-    if m == 2 or not len(residuals):
+    if not len(residuals):
         return slope, math.nan
     var = float(residuals[0]) / (m - 2)
     return slope, math.sqrt(var / float(np.sum((lx - lx.mean()) ** 2)))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -270,6 +271,17 @@ def test_fit_bad_window_row_is_config_error(tmp_path, capfd, first_distance, fir
 def test_fit_with_equal_distances_is_numerical_failure(tmp_path, capfd):
     path = tmp_path / "scan.json"
     path.write_text(json.dumps(_window_rows([0.01] * 5)))
+    assert main(["fit", "--input", str(path)]) == EXIT_NUMERICAL_ERROR
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_fit_with_distances_equal_to_rounding_is_numerical_failure(tmp_path, capfd):
+    path = tmp_path / "scan.json"
+    distances = [0.01, math.nextafter(0.01, 1.0), 0.01 * (1.0 + 16 * 1.1e-16)]
+    path.write_text(json.dumps(_window_rows(distances)))
     assert main(["fit", "--input", str(path)]) == EXIT_NUMERICAL_ERROR
     captured = capfd.readouterr()
     assert captured.out == ""

@@ -17,14 +17,19 @@ def test_bubble_validation(sphere3_disc, product4_disc):
         st.bubble(product4_disc, 1.0, 0.5)
     with pytest.raises(ValueError):
         st.bubble(sphere3_disc, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        st.bubble(sphere3_disc, 1.0, 1.0)
+    for b in (0.0, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            st.bubble(sphere3_disc, 1.0, b)
 
 
 def test_bubble_profile(sphere3_disc):
     u = st.bubble(sphere3_disc, 2.0, 0.5)
     want = 2.0 * (1.0 - 0.5 * np.cos(sphere3_disc.nodes)) ** -0.5
     assert np.allclose(u.values, want)
+    # b < 0 is the bubble at the south pole, the reflection of the one at -b
+    south = st.bubble(sphere3_disc, 2.0, -0.5)
+    assert np.array_equal(south.values, u.values[sphere3_disc.mirror])
+    assert np.allclose(south.values, 2.0 * (1.0 + 0.5 * np.cos(sphere3_disc.nodes)) ** -0.5)
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -75,9 +80,9 @@ def test_distance_to_bubbles_vanishes_on_bubbles(sphere3_disc):
     assert st.distance_to_extremals(u, "bubbles_and_constants") < 1e-6
 
 
-def _golden_min(dist_at):
-    # the library's golden section in b: same bracket, same 80 steps
-    lo, hi = 1e-6, 1.0 - 1e-6
+def _golden_min(dist_at, lo=1e-6, hi=1.0 - 1e-6):
+    # golden section in b over [lo, hi], 80 steps: by default the library's one-pole
+    # search before it covered both poles
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     f1, f2 = dist_at(x1), dist_at(x2)
@@ -93,12 +98,10 @@ def _golden_min(dist_at):
     return min(f1, f2)
 
 
-def _reference_distance(u):
-    """Distance to bubbles and constants, spelled with the public helpers."""
+def _bubble_dist_at(u):
+    """b -> distance of u to the line through st.bubble(disc, 1, b), from the public helpers."""
     disc = u.disc
     norm_u = math.sqrt(st.w12_norm_sq(disc, u))
-    mean = disc.integrate(u.values) / disc.model.total_volume
-    d_const = math.sqrt(st.w12_norm_sq(disc, DiscreteFunction(disc, u.values - mean))) / norm_u
     du = disc.diff_matrix @ u.values
 
     def dist_at(b):
@@ -109,7 +112,39 @@ def _reference_distance(u):
         diff = DiscreteFunction(disc, u.values - a * g.values)
         return math.sqrt(st.w12_norm_sq(disc, diff)) / norm_u
 
-    return min(d_const, _golden_min(dist_at))
+    return dist_at
+
+
+# b = tanh(s) on 240 evenly spaced s out to |b| = 1 - 1e-6, a step 8x finer than the
+# library's at d = 3 and 2.7x at d = 8; an even count keeps b = 0, no bubble, off the grid
+REFERENCE_GRID = np.tanh(np.linspace(-1.0, 1.0, 240) * math.atanh(1.0 - 1e-6))
+
+
+def _reference_distance(u):
+    """Distance to bubbles at both poles and to constants, by a global search in b.
+
+    The distance is tabulated on REFERENCE_GRID, and a golden section runs over
+    the two cells around each grid minimum; the grid ends are candidates too.
+    """
+    disc = u.disc
+    norm_u = math.sqrt(st.w12_norm_sq(disc, u))
+    mean = disc.integrate(u.values) / disc.model.total_volume
+    d_const = math.sqrt(st.w12_norm_sq(disc, DiscreteFunction(disc, u.values - mean))) / norm_u
+    dist_at = _bubble_dist_at(u)
+    f = [dist_at(b) for b in REFERENCE_GRID]
+    best = min(f[0], f[-1])
+    for i in range(1, len(f) - 1):
+        if f[i] <= min(f[i - 1], f[i + 1]):
+            best = min(best, _golden_min(dist_at, REFERENCE_GRID[i - 1], REFERENCE_GRID[i + 1]))
+    return min(d_const, best)
+
+
+def _chebyshev_samples(disc, count=20):
+    """Smooth radial functions like the benchmark's: decaying Chebyshev series plus an offset."""
+    rng = np.random.Generator(np.random.Philox(9))
+    coeffs = rng.standard_normal((count, 10)) * 0.5 ** np.arange(10)
+    coeffs[:, 0] += 0.01 * rng.standard_normal(count)
+    return coeffs @ np.polynomial.chebyshev.chebvander(np.cos(disc.nodes), 9).T
 
 
 def _extended_bubble_distance(disc, values):
@@ -135,21 +170,53 @@ def _extended_bubble_distance(disc, values):
 @pytest.mark.parametrize("d,n", [(3, 64), (8, 256)])
 def test_distance_to_bubbles_matches_reference(d, n):
     disc = build(make_sphere(d), n)
-    rng = np.random.Generator(np.random.Philox(9))
-    coeffs = rng.standard_normal((20, 10)) * 0.5 ** np.arange(10)
-    coeffs[:, 0] += 0.01 * rng.standard_normal(20)
-    basis = np.polynomial.chebyshev.chebvander(np.cos(disc.nodes), 9)
-    for values in coeffs @ basis.T:
+    for values in _chebyshev_samples(disc):
         u = DiscreteFunction(disc, values)
         got = st.distance_to_extremals(u, "bubbles_and_constants")
         assert got == pytest.approx(_reference_distance(u), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("d,n", [(3, 64), (8, 256)])
+def test_distance_to_bubbles_is_reflection_invariant(d, n):
+    # the family holds the reflection t -> pi - t of each of its bubbles
+    disc = build(make_sphere(d), n)
+    family = "bubbles_and_constants"
+    for values in _chebyshev_samples(disc):
+        got = st.distance_to_extremals(DiscreteFunction(disc, values[disc.mirror]), family)
+        want = st.distance_to_extremals(DiscreteFunction(disc, values), family)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_distance_to_bubbles_finds_the_lower_of_two_local_minima():
+    # on this sample a golden section over each pole's half of the b range stops at a
+    # local minimum 6 % above the global one
+    disc = build(make_sphere(3), 64)
+    coeffs = [-0.2011, 0.0112, -0.5698, 0.0329, -0.0684, 0.0021, 0.0052, 0.0032, -0.0023, -0.002]
+    u = DiscreteFunction(disc, np.polynomial.chebyshev.chebval(np.cos(disc.nodes), coeffs))
+    dist_at = _bubble_dist_at(u)
+    per_pole = min(_golden_min(dist_at), _golden_min(dist_at, -1.0 + 1e-6, -1e-6))
+    got = st.distance_to_extremals(u, "bubbles_and_constants")
+    assert got < 0.95 * per_pole
+    assert got == pytest.approx(_reference_distance(u), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("d", [3, 5, 8])
 def test_distance_to_bubbles_is_rounding_level_on_bubbles(d):
     disc = build(make_sphere(d), 128)
-    for b in (0.3, 0.6, 0.9):
+    for b in (0.3, 0.6, 0.9, -0.3, -0.6, -0.9):
         assert st.distance_to_extremals(st.bubble(disc, 2.0, b), "bubbles_and_constants") <= 1e-13
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_distance_to_bubbles_is_rounding_level_on_the_search_grid(d):
+    # a bubble whose b is a node of the search grid puts a zero of the slope in b on
+    # that node, where the grid pass and the one-point slope may disagree in sign
+    disc = build(make_sphere(d), 64)
+    steps = math.ceil(st.BUBBLE_STEPS * max(1.0, (d - 2) / 2))
+    for b in np.tanh(np.linspace(0.0, st.BUBBLE_END, steps + 1))[1:-1]:
+        for pole in (b, -b):
+            u = st.bubble(disc, 1.3, pole)
+            assert st.distance_to_extremals(u, "bubbles_and_constants") <= 1e-13
 
 
 @pytest.mark.skipif(
@@ -224,12 +291,13 @@ def test_fit_loglog_stderr_is_nan_for_two_points():
 
 
 def test_fit_loglog_stderr_is_nan_when_x_is_constant_up_to_rounding():
-    # log x differs in the last bits only: the least-squares problem has rank one
+    # log x differs in the last bits only: the least-squares problem has rank one, so
+    # there is no slope either, and polyfit, which would warn RankWarning, is not called
     x = np.array([0.01, np.nextafter(0.01, 1.0), 0.01 * (1.0 + 16 * 1.1e-16)])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # polyfit's RankWarning
-        _, stderr = st.fit_loglog(x, np.array([1e-4, 2e-4, 3e-4]))
-    assert math.isnan(stderr)
+        warnings.simplefilter("error")
+        slope, stderr = st.fit_loglog(x, np.array([1e-4, 2e-4, 3e-4]))
+    assert math.isnan(slope) and math.isnan(stderr)
 
 
 def test_ray_scan_degenerate_slope_and_report(subcritical_spec):
@@ -245,6 +313,16 @@ def test_ray_scan_nondegenerate_control(sphere3_disc):
     rep = st.ray_scan(spec, st.ray_from_constants(spec), "constants")
     assert rep.classification == "nondegenerate"
     assert rep.fitted_slope == pytest.approx(2.0, abs=0.1)
+
+
+def test_ray_scan_is_independent_of_the_direction_sign(subcritical_spec):
+    # the eigen-solver's sign of phi_1 is arbitrary, and -phi_1 is phi_1 reflected
+    ray = st.ray_from_constants(subcritical_spec)
+    minus = DiscreteFunction(subcritical_spec.disc, -ray.direction.values)
+    flipped = st.Ray(ray.base, minus, ray.epsilons)
+    rows = [st.ray_scan(subcritical_spec, r, "bubbles_and_constants").rows for r in (ray, flipped)]
+    for got, want in zip(*rows):
+        assert got["distance"] == pytest.approx(want["distance"], rel=1e-12, abs=0.0)
 
 
 def test_ray_scan_rejects_non_tangent_direction(subcritical_spec):
