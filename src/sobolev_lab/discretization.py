@@ -21,7 +21,7 @@ eigen-solve splits into an even and an odd half (Boyd 2001, ch. 8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import circulant, eigh
@@ -69,6 +69,7 @@ class Discretization:
     diff_matrix: np.ndarray  # d/dt collocation operator
     laplace_matrix: np.ndarray  # -Delta on the reduced class
     mirror: np.ndarray  # node permutation of the reflection; L[mirror][:, mirror] == L
+    _bubble_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.quad_weights @ values)

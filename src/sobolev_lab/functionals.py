@@ -166,16 +166,16 @@ def project_tangent(
 
 
 def euler_lagrange(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
-    """Euler-Lagrange field F = 2A(-Delta u) + 2B u - theta |u|^{q-2} u."""
-    F = 2.0 * spec.A * (spec.disc.laplace_matrix @ u) + 2.0 * spec.B * u
+    """Euler-Lagrange field F = 2A(-Delta u) + 2B u - theta |u|^{q-2} u, of u or of each row."""
+    F = 2.0 * spec.A * (u @ spec.disc.laplace_matrix.T) + 2.0 * spec.B * u  # L @ u for one u
     if theta:
         F = F - theta * power_qm1(u, spec.q)
     return F
 
 
-def euler_lagrange_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
-    """Jacobian J = 2A(-Delta) + 2B - theta (q-1) diag(|u|^{q-2}) of the field in u."""
-    J = 2.0 * spec.A * spec.disc.laplace_matrix
+def euler_lagrange_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float, out=None):
+    """Jacobian J = 2A(-Delta) + 2B - theta (q-1) diag(|u|^{q-2}) of the field in u, in `out`."""
+    J = np.multiply(spec.disc.laplace_matrix, 2.0 * spec.A, out=out)
     J.flat[:: spec.disc.n + 1] += 2.0 * spec.B  # the diagonal, with no n x n temporary
     if theta:
         J.flat[:: spec.disc.n + 1] -= theta * (spec.q - 1.0) * power_qm2(u, spec.q)

@@ -2,8 +2,8 @@
 
 Minimization runs preconditioned projected-gradient descent on the unit
 L^q sphere (iterates reflected into the nonnegative cone by absolute
-value, which never increases the quotient), followed by a Newton polish
-of the bordered stationarity system
+value, which never increases the quotient; a multistart's starts in lockstep),
+then a Newton polish of each result in the bordered stationarity system
 
     2A(-Delta u) + 2B u - theta |u|^{q-2} u = 0,     int |u|^q dVol = 1.
 
@@ -52,11 +52,11 @@ class CriticalPoint:
     u: DiscreteFunction
     value: float
     grad_residual: float
-    hessian_spectrum: SpectralData
-    kernel_dim: int
-    kernel_basis: list
     converged: bool
     iterations: int
+    hessian_spectrum: SpectralData | None = None
+    kernel_dim: int = 0
+    kernel_basis: list = field(default_factory=list)
     _chord: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -114,7 +114,7 @@ def _bordered_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.nd
     """Jacobian in (u, theta, mu) of the bordered system of _bordered_newton."""
     qw, n, l, p = spec.disc.quad_weights, spec.disc.n, K.shape[1], fn.power_qm1(u, spec.q)
     J = np.zeros((n + 1 + l, n + 1 + l))
-    J[:n, :n] = fn.euler_lagrange_jacobian(spec, u, theta)
+    fn.euler_lagrange_jacobian(spec, u, theta, out=J[:n, :n])
     J[:n, n], J[n, :n] = -p, spec.q * qw * p
     J[:n, n + 1 :], J[n + 1 :, :n] = -K, K.T * qw[None, :]
     return J
@@ -183,106 +183,116 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
     return x[:n], bool(norm <= floor)
 
 
-def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
-    """Minimize the quotient over the unit L^q sphere from a given start."""
-    disc = spec.disc
-    if not np.any(init.values):
-        raise ValueError("initial guess is identically zero")
-    u = fn.normalize(DiscreteFunction(disc, np.abs(init.values)), spec.q)
-    fn.check_normalized(spec, u)
-    qval = fn.quotient(spec, u)
-    u = u.values
+def _best(results: list):
+    """Converged first; values within RANK_RTOL of the lowest tie; the lowest residual wins."""
+    pool = [cp for cp in results if cp.converged] or results
+    low = min(cp.value for cp in pool)
+    tied = [cp for cp in pool if cp.value - low <= RANK_RTOL * abs(low)]
+    return min(tied, key=lambda cp: cp.grad_residual)
+
+
+def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
+    """Minimize from each start, polish each result and return the best (_best), with spectrum.
+
+    The projected-gradient descent runs the starts in lockstep, as rows of one stack, on one
+    preconditioner factorization.  Each row has its own step and leaves once its gradient
+    residual is below SWITCH_TOL, after MAX_ITER rounds, or when 40 halvings find no decrease.
+    """
+    disc, q = spec.disc, spec.q
+    inits = [fn.normalize(DiscreteFunction(disc, np.abs(s)), q) for s in starts]
+    for u in inits:
+        fn.check_normalized(spec, u)
+    U, qvals = np.array([u.values for u in inits]), [fn.quotient(spec, u) for u in inits]
     # W^{1,2}-type preconditioner for the L^2 gradient: the Jacobian at theta = 0
-    lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, u, 0.0))
+    lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, U[0], 0.0))
     (getrs,) = get_lapack_funcs(("getrs",), (lu,))
-    # Raw arrays, summed by np.add.reduce (as np.sum does) in the order of
-    # gradient and normalize, so the iterates are theirs bit for bit; a
-    # non-finite entry makes a sum non-finite, so scalar tests keep their checks.
-    qw, D, q, total = disc.quad_weights, disc.diff_matrix, spec.q, np.add.reduce
-    step = 1.0
-    iterations = 0
-    while iterations < MAX_ITER:
-        F = fn.euler_lagrange(spec, u, 0.0)
-        g = F - float(total(qw * u * F)) * fn.power_qm1(u, q)
+    # Summed by np.add.reduce (as np.sum does) in the order of gradient and normalize, roots
+    # and squares taken as scalars row by row: one row's iterates are theirs bit for bit.
+    qw, D, total = disc.quad_weights, disc.diff_matrix, np.add.reduce
+    step, iterations, live = [1.0] * len(U), np.zeros(len(U), dtype=int), np.arange(len(U))
+    for _ in range(MAX_ITER):
+        V = U[live]
+        F = fn.euler_lagrange(spec, V, 0.0)
+        G = F - total(qw * V * F, axis=1)[:, None] * fn.power_qm1(V, q)
         with np.errstate(over="ignore"):  # an overflow is reported just below
-            res = math.sqrt(float(total(qw * g * g)))
-        if not math.isfinite(res):
+            res = [math.sqrt(s) for s in total(qw * G * G, axis=1).tolist()]
+        if not all(map(math.isfinite, res)):
             raise ValueError("non-finite gradient in projected-gradient descent")
-        if res < SWITCH_TOL:
-            break
-        iterations += 1
-        p, info = getrs(lu, piv, g)
+        if min(res, default=0.0) < SWITCH_TOL:  # these rows leave; live keeps the others
+            moving = [r >= SWITCH_TOL for r in res]
+            live, V, G = live[moving], V[moving], G[moving]
+            if not live.size:
+                break
+        iterations[live] += 1
+        P, info = getrs(lu, piv, G.T)
         if info:
             raise ValueError(f"getrs failed with info {info}")
+        rows, P = live.tolist(), P.T  # rows: those still searching; V and P hold theirs
         for _ in range(40):
-            trial = np.abs(u - step * p)
-            if not trial.any():
-                step *= 0.5
-                continue
-            trial = trial / float(total(qw * trial**q) ** (1.0 / q))
-            num, norm = fn.quotient_parts(spec, trial, D @ trial)
-            norm = float(norm)
-            if not abs(norm - 1.0) <= fn.NORMALIZATION_TOL:
-                raise ValueError(f"trial is not L^q-normalized: ||u||_q = {norm}")
-            trial_q = float(num) / norm**2
-            if trial_q <= qval + 1e-14:
-                u, qval = trial, trial_q
-                step = min(step * 1.5, 4.0)
+            T = np.abs(V - np.array([step[i] for i in rows])[:, None] * P)
+            tried = [j for j, nz in enumerate(T.any(axis=1).tolist()) if nz]  # all zero: halve
+            T = T[tried] if len(tried) < len(rows) else T
+            T /= np.array([s ** (1.0 / q) for s in total(qw * T**q, axis=1).tolist()])[:, None]
+            num, norm = fn.quotient_parts(spec, T, T @ D.T)
+            failed = [j for j in range(len(rows)) if j not in tried]
+            for j, t, num_j, norm_j in zip(tried, T, num.tolist(), norm.tolist()):
+                if not abs(norm_j - 1.0) <= fn.NORMALIZATION_TOL:
+                    raise ValueError(f"trial is not L^q-normalized: ||u||_q = {norm_j}")
+                i, trial_q = rows[j], num_j / norm_j**2
+                if trial_q <= qvals[i] + 1e-14:
+                    U[i], qvals[i], step[i] = t, trial_q, min(step[i] * 1.5, 4.0)
+                else:
+                    failed.append(j)
+            for j in failed:
+                step[rows[j]] *= 0.5
+            if not failed:
                 break
-            step *= 0.5
-        else:
-            break
+            V, P, rows = V[failed], P[failed], [rows[j] for j in failed]
+        else:  # no decrease in 40 halvings: these rows leave
+            live = np.setdiff1d(live, rows)
     del lu  # n x n: freed before the polish and the spectrum build theirs
-    polished, _ = _bordered_newton(
-        spec, u, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), POLISH_NEWTON_MAX
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fn.MixedSignWarning)
-        u = fn.normalize(DiscreteFunction(disc, polished), spec.q)
-    grad_residual = _l2_norm(spec, fn.gradient(spec, u).values)
-    qval = fn.quotient(spec, u)
-    converged = grad_residual < GRAD_TOL
-    k = min(SPECTRUM_SIZE, disc.n - 1)
-    spectrum = hessian_spectrum_at(spec, u, k)
+    results = []
+    for u, qval, its in zip(U, qvals, iterations.tolist()):
+        polished, _ = _bordered_newton(spec, u, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0),
+                                       POLISH_NEWTON_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fn.MixedSignWarning)
+            u = fn.normalize(DiscreteFunction(disc, polished), q)
+        grad_residual = _l2_norm(spec, fn.gradient(spec, u).values)
+        results.append(CriticalPoint(u, fn.quotient(spec, u), grad_residual,
+                                     grad_residual < GRAD_TOL, its))
+    cp = _best(results)
+    cp.hessian_spectrum = hessian_spectrum_at(spec, cp.u, min(SPECTRUM_SIZE, disc.n - 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ThresholdAmbiguityWarning)
-        kernel = kernel_basis_at(spectrum)
-    return CriticalPoint(
-        u=u,
-        value=qval,
-        grad_residual=grad_residual,
-        hessian_spectrum=spectrum,
-        kernel_dim=len(kernel),
-        kernel_basis=kernel,
-        converged=converged,
-        iterations=iterations,
-    )
+        cp.kernel_basis = kernel_basis_at(cp.hessian_spectrum)
+    cp.kernel_dim = len(cp.kernel_basis)
+    return cp
+
+
+def minimize(spec: QuotientSpec, init: DiscreteFunction) -> CriticalPoint:
+    """Minimize the quotient over the unit L^q sphere from a given start."""
+    return _minimize_starts(spec, [init.values])
 
 
 def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2) -> CriticalPoint:
-    """Run minimize from the documented start family and keep the best result.
+    """Minimize from the documented start family in lockstep and keep the best result.
 
     Starts: constants, one first-eigenfunction perturbation (its sign flip is
     the same problem: a reflection on the sphere, a half-period shift on the
-    product), bubbles on the sphere, and seeded random smooth fields.  Of the
-    converged results (of all, if none converged), those within RANK_RTOL of
-    the lowest value tie, and the lowest gradient residual among them wins.
+    product), bubbles on the sphere, and seeded random smooth fields.  They
+    descend together (_minimize_starts); only the best result gets a spectrum.
     """
     disc = spec.disc
     const = np.ones(disc.n)
     spec_data = laplace_eigenpairs(disc, min(6, disc.n))
-    phi1 = spec_data.eigenfunctions[1].values
-    starts = [const, const + 0.3 * phi1, *fn.bubble_starts(disc)]
+    starts = [const, const + 0.3 * spec_data.eigenfunctions[1].values, *fn.bubble_starts(disc)]
     rng = np.random.Generator(np.random.Philox(seed))
     phis = np.column_stack([f.values for f in spec_data.eigenfunctions])
     for _ in range(extra_starts):
         coeffs = rng.standard_normal(phis.shape[1]) * 0.5 ** np.arange(phis.shape[1])
         starts.append(const + phis @ coeffs)
-    results = [minimize(spec, DiscreteFunction(disc, s)) for s in starts]
-    pool = [cp for cp in results if cp.converged] or results
-    low = min(cp.value for cp in pool)
-    tied = [cp for cp in pool if cp.value - low <= RANK_RTOL * abs(low)]
-    return min(tied, key=lambda cp: cp.grad_residual)
+    return _minimize_starts(spec, starts)
 
 
 def reduced_functional(

@@ -67,10 +67,14 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     # digits, as D is O(n^2) on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
     e = (2.0 - d) / 2.0
-    grid = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
-    base = 1.0 - np.outer(cos_t, grid)
-    G, dG = base**e, (-e * cos_t)[:, None] * base ** (e - 1.0)
-    DG, DdG = D @ G, D @ dG
+    if disc._bubble_grid is None:  # the grid pass depends on disc only: made once, kept on it
+        grid = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
+        base = 1.0 - np.outer(cos_t, grid)
+        G, dG = base**e, (-e * cos_t)[:, None] * base ** (e - 1.0)
+        DG, DdG = D @ G, D @ dG
+        gg, gdg = w @ (G * G + DG * DG), w @ (G * dG + DG * DdG)
+        object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg))
+    grid, G, dG, DG, DdG, gg, gdg = disc._bubble_grid
     g, dg, r = np.empty_like(u), np.empty_like(u), np.empty_like(u)
 
     def fit(b: float, uu: np.ndarray) -> tuple[float, float]:  # (half slope, distance^2) at b
@@ -84,8 +88,8 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     dists = []
     for uu in (u, np.stack([u[0][disc.mirror], D @ u[0][disc.mirror]])):  # poles t = 0, pi
         wu = w * uu
-        a = (wu[0] @ G + wu[1] @ DG) / (w @ (G * G + DG * DG))
-        slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * (w @ (G * dG + DG * DdG)))
+        a = (wu[0] @ G + wu[1] @ DG) / gg
+        slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * gdg)
         roots = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
         for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0)):
             try:

@@ -327,10 +327,20 @@ def _out_of_place_hessian_spectrum_at(spec, u, k):
     return frame_eigenpairs(spec.disc, HRH[1:, 1:], k, fn.tangent_frame(spec, u))
 
 
-def _degenerate_spec(model, d, q, n):
+def _copied_bordered_jacobian(spec, u, theta, K):
+    """_bordered_jacobian with the Euler-Lagrange Jacobian formed apart and copied in."""
+    qw, n, l, p = spec.disc.quad_weights, spec.disc.n, K.shape[1], fn.power_qm1(u, spec.q)
+    J = np.zeros((n + 1 + l, n + 1 + l))
+    J[:n, :n] = _out_of_place_euler_lagrange_jacobian(spec, u, theta)
+    J[:n, n], J[n, :n] = -p, spec.q * qw * p
+    J[:n, n + 1 :], J[n + 1 :, :n] = -K, K.T * qw[None, :]
+    return J
+
+
+def _degenerate_spec(model, d, q, n, a_factor=1.0):
     """The default spec; q None is the critical exponent."""
     disc = build(make_sphere(d) if model == "sphere" else make_product(d), n)
-    return cst.default_spec(disc, fn.sobolev_conjugate(d) if q is None else q)
+    return cst.default_spec(disc, fn.sobolev_conjugate(d) if q is None else q, a_factor)
 
 
 DEGENERATE = [("sphere", 3, 4.0), ("sphere", 8, 2.5), ("product", 4, None), ("product", 8, None)]
@@ -342,9 +352,13 @@ def test_in_place_updates_are_bit_identical(model, d, q, n):
     # the n x n updates are made in place, in the elementwise order of the expressions above
     spec = _degenerate_spec(model, d, q, n)
     u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
-    for theta in (0.0, 2.0 * fn.quotient(spec, u)):
+    modes = np.column_stack([f.values for f in laplace_eigenpairs(spec.disc, 3).eigenfunctions])
+    for theta, l in ((0.0, 1), (2.0 * fn.quotient(spec, u), 0), (1.5, 2)):
         assert np.array_equal(fn.euler_lagrange_jacobian(spec, u.values, theta),
                               _out_of_place_euler_lagrange_jacobian(spec, u.values, theta))
+        K = modes[:, 1 : 1 + l]
+        assert np.array_equal(opt._bordered_jacobian(spec, u.values, theta, K),
+                              _copied_bordered_jacobian(spec, u.values, theta, K))
     assert np.array_equal(fn.hessian_matrix(spec, u), _out_of_place_hessian_matrix(spec, u))
     v = fn.tangent_reflector(spec, u)
     assert np.array_equal(fn.tangent_frame(spec, u), np.eye(n)[:, 1:] - 2.0 * np.outer(v, v[1:]))
@@ -367,6 +381,21 @@ def test_hessian_spectrum_at_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * n * 8 + 2**20
+
+
+def test_bordered_jacobian_peak_memory():
+    # the Euler-Lagrange Jacobian is written into J: no n x n temporary besides J
+    n = 1024
+    spec = _degenerate_spec("sphere", 3, 4.0, n)
+    u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
+    K = u.values[:, None]
+    tracemalloc.start()
+    try:
+        J = opt._bordered_jacobian(spec, u.values, 2.0 * fn.quotient(spec, u), K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= J.nbytes + 2**20
 
 
 @pytest.fixture(scope="module", params=["sphere-d3-q4", "product-d4-q2star"])
@@ -462,18 +491,12 @@ def test_chord_factorization_is_never_stale(monkeypatch):
     assert reused.inner_converged and reused.value == fresh.value
 
 
-def _multistart_winner(spec, monkeypatch, results):
-    """multistart_minimize's pick when its first minimize calls return `results`."""
-    pending = iter(results)
-    worse = SimpleNamespace(value=2.0, grad_residual=1e-14, converged=True)
-    monkeypatch.setattr(opt, "minimize", lambda spec, init: next(pending, worse))
-    return opt.multistart_minimize(spec, seed=0)
-
-
 @pytest.mark.parametrize("swap", [False, True])
-def test_multistart_ranks_converged_then_value_then_residual(subcritical_spec, monkeypatch, swap):
+def test_multistart_ranks_converged_then_value_then_residual(swap):
+    worse = SimpleNamespace(value=2.0, grad_residual=1e-14, converged=True)
+
     def ranked(a, b):
-        return _multistart_winner(subcritical_spec, monkeypatch, [b, a] if swap else [a, b])
+        return opt._best([b, a, worse] if swap else [a, b, worse])
 
     # values 2e-16 apart are one value: the better-converged result wins
     loose = SimpleNamespace(value=0.9999999999999998, grad_residual=2.2e-9, converged=True)
@@ -485,3 +508,135 @@ def test_multistart_ranks_converged_then_value_then_residual(subcritical_spec, m
     # values further apart than RANK_RTOL rank by value
     higher = SimpleNamespace(value=1.0 + 1e-9, grad_residual=1e-14, converged=True)
     assert ranked(higher, loose) is loose
+
+
+def test_multistart_factors_once_and_builds_one_spectrum(subcritical_spec, monkeypatch):
+    factorizations = _counting(monkeypatch, "lu_factor")
+    spectra = _counting(monkeypatch, "hessian_spectrum_at")
+    cp = opt.multistart_minimize(subcritical_spec, seed=0, extra_starts=4)
+    assert len(factorizations) == 1
+    assert len(spectra) == 1
+    assert cp.kernel_dim == 1 and len(cp.hessian_spectrum.eigenvalues) == opt.SPECTRUM_SIZE
+
+
+def _lockstep_starts(disc):
+    """The constant (a critical point), the first-mode start and the bubble starts."""
+    return [np.ones(disc.n), 1.0 + 0.3 * _first_mode(disc), *fn.bubble_starts(disc)]
+
+
+def _pooled(monkeypatch, spec, starts):
+    """The polished results of _minimize_starts(spec, starts), one per start, as ranked."""
+    pools = []
+    real = opt._best
+    monkeypatch.setattr(opt, "_best", lambda results: pools.append(results) or real(results))
+    opt._minimize_starts(spec, starts)
+    monkeypatch.setattr(opt, "_best", real)
+    return pools[0]
+
+
+def test_lockstep_rows_match_single_starts(monkeypatch):
+    spec = _sphere_spec(3, 4.0, a_factor=1.5)
+    starts = _lockstep_starts(spec.disc) + [_random_start(spec.disc, seed) for seed in (7, 8)]
+    stacked = _pooled(monkeypatch, spec, starts)
+    assert len(stacked) == len(starts)
+    for start, cp in zip(starts, stacked):
+        single = opt.minimize(spec, DiscreteFunction(spec.disc, start))
+        assert cp.iterations == single.iterations
+        assert abs(cp.value - single.value) <= 1e-12
+        assert cp.converged
+    # only the winner gets a spectrum
+    assert sum(cp.hessian_spectrum is not None for cp in stacked) == 1
+    # the constant leaves at once, the others descend for different numbers of rounds
+    assert stacked[0].iterations == 0
+    assert len({cp.iterations for cp in stacked[1:]}) > 1
+
+
+def test_lockstep_rows_leave_alone(monkeypatch):
+    # the constant leaves at iteration 0 and the peaked b = 0.9 bubble when its first line
+    # search fails; the other rows descend as they do without them
+    spec = _sphere_spec(3, 4.0, a_factor=1.5)
+    starts = _lockstep_starts(spec.disc)
+    want = _pooled(monkeypatch, spec, starts[1:-1])
+    real = fn.quotient_parts
+
+    def rejecting(spec, U, DU):  # every stacked trial with max/min > 3 is rejected
+        num, norm = real(spec, U, DU)
+        if U.ndim == 2:
+            num = np.where(U.max(axis=1) > 3.0 * U.min(axis=1), np.inf, num)
+        return num, norm
+
+    monkeypatch.setattr(fn, "quotient_parts", rejecting)
+    got = _pooled(monkeypatch, spec, starts)
+    assert [got[0].iterations, got[-1].iterations] == [0, 1]
+    for cp, single in zip(got[1:-1], want):
+        assert cp.iterations == single.iterations > 1
+        assert abs(cp.value - single.value) <= 1e-12
+    # alone, the failing row ends the descent
+    assert opt.minimize(spec, DiscreteFunction(spec.disc, starts[-1])).iterations == 1
+
+
+def test_lockstep_all_zero_trial_halves_the_step(monkeypatch):
+    # a first direction equal to the iterate makes the trial at step 1 all zero: it is not
+    # evaluated, and the next trial, at step 1/2, is the iterate again
+    spec = _sphere_spec(3, 4.0, a_factor=1.5)
+    start = 1.0 + 0.3 * _first_mode(spec.disc)
+    u0 = fn.normalize(DiscreteFunction(spec.disc, start), spec.q).values
+    real_lapack, real_parts = opt.get_lapack_funcs, fn.quotient_parts
+    directions, trials = [], []
+
+    def lapack(names, arrays):
+        (getrs,) = real_lapack(names, arrays)
+
+        def first_along_the_iterate(lu, piv, G):
+            P, info = getrs(lu, piv, G)
+            if not directions:
+                P[:, 0] = u0
+            directions.append(P)
+            return P, info
+
+        return (first_along_the_iterate,)
+
+    def parts(spec, U, DU):
+        if U.ndim == 2:
+            trials.append(U.copy())
+        return real_parts(spec, U, DU)
+
+    monkeypatch.setattr(opt, "get_lapack_funcs", lapack)
+    monkeypatch.setattr(fn, "quotient_parts", parts)
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, start))
+    assert [len(T) for T in trials[:2]] == [0, 1]
+    assert np.allclose(trials[1][0], u0, rtol=1e-14, atol=0.0)
+    assert cp.converged and cp.iterations > 1
+
+
+# multistart_minimize(spec, 7, extra_starts=4) with a descent per start: the winner's kernel
+# dimension and its values at n = 64 and n = 128, by model, d, q (None: 2*) and A factor
+START_SCAN = {
+    ("sphere", 3, 4.0, 1.0): (1, (1.0, 1.0)),
+    ("sphere", 3, 4.0, 1.1): (0, (0.9999999999999998, 1.0)),
+    ("sphere", 3, 4.0, 1.5): (0, (0.9999999999999998, 1.0)),
+    ("sphere", 8, 2.5, 1.0): (1, (1.0000000000000002, 1.0)),
+    ("sphere", 8, 2.5, 1.1): (0, (1.0000000000000002, 1.0)),
+    ("sphere", 8, 2.5, 1.5): (0, (1.0, 1.0)),
+    ("product", 4, None, 1.0): (2, (1.0000000000000004, 1.0000000000000002)),
+    ("product", 4, None, 1.1): (0, (1.0000000000000004, 1.0000000000000002)),
+    ("product", 4, None, 1.5): (0, (1.0000000000000004, 1.0000000000000002)),
+    ("product", 8, None, 1.0): (2, (0.9999999999999999, 1.0)),
+    ("product", 8, None, 1.1): (0, (0.9999999999999999, 1.0)),
+    ("product", 8, None, 1.5): (0, (0.9999999999999999, 1.0)),
+}
+
+
+def test_start_scan(monkeypatch):
+    # 180 starts; 172 of them converged with a descent per start
+    pools = []
+    real = opt._best
+    monkeypatch.setattr(opt, "_best", lambda results: pools.append(results) or real(results))
+    for (model, d, q, a), (kernel_dim, values) in START_SCAN.items():
+        for n, value in zip((64, 128), values):
+            spec = _degenerate_spec(model, d, q, n, a)
+            cp = opt.multistart_minimize(spec, 7, extra_starts=4)
+            assert cp.kernel_dim == kernel_dim, (model, d, q, a, n)
+            assert cp.value == pytest.approx(value, rel=opt.RANK_RTOL, abs=0.0)
+    assert sum(len(pool) for pool in pools) == 180
+    assert sum(cp.converged for pool in pools for cp in pool) >= 172

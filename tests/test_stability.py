@@ -176,6 +176,23 @@ def test_distance_to_bubbles_matches_reference(d, n):
         assert got == pytest.approx(_reference_distance(u), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("d", [3, 8])
+def test_distance_to_bubbles_builds_its_grid_pass_once(d):
+    # the grid pass is kept on the discretization, and a call on it gives the bits of a first call
+    family = "bubbles_and_constants"
+    disc = build(make_sphere(d), 64)
+    samples = _chebyshev_samples(disc, 5)
+    assert disc._bubble_grid is None
+    cached = [st.distance_to_extremals(DiscreteFunction(disc, samples[0]), family)]
+    grid_pass = disc._bubble_grid
+    assert grid_pass is not None
+    cached += [st.distance_to_extremals(DiscreteFunction(disc, v), family) for v in samples[1:]]
+    assert disc._bubble_grid is grid_pass
+    for values, got in zip(samples, cached):
+        fresh = build(make_sphere(d), 64)
+        assert np.array_equal(got, st.distance_to_extremals(DiscreteFunction(fresh, values), family))
+
+
 @pytest.mark.parametrize("d,n", [(3, 64), (8, 256)])
 def test_distance_to_bubbles_is_reflection_invariant(d, n):
     # the family holds the reflection t -> pi - t of each of its bubbles
