@@ -7,6 +7,9 @@ then a Newton polish of each result in the bordered stationarity system
 
     2A(-Delta u) + 2B u - theta |u|^{q-2} u = 0,     int |u|^q dVol = 1.
 
+Where Newton creeps along a Hessian kernel, at a degenerate minimum, the
+polish corrects the kernel coordinates through the Lyapunov-Schmidt system.
+
 Critical points are certified through the weak criticality identity and
 equipped with the spectrum of the constrained Hessian on the tangent
 space, including a kernel basis for the Lyapunov-Schmidt reduction.
@@ -28,16 +31,19 @@ from .functionals import QuotientSpec
 KERNEL_THRESHOLD = 1e-6
 NEWTON_MAX = 60
 # minimize: projected-gradient iterations, the gradient residual at which the
-# Newton polish takes over, the polish's Newton steps, the residual that counts
-# as converged, and the number of tangent Hessian eigenpairs reported.
-MAX_ITER = 400
+# Newton polish takes over, its Newton steps, the residual that counts as
+# converged, the tangent eigenpairs reported, and the stall test (see _polish).
+MAX_ITER = 100
 SWITCH_TOL = 1e-4
 POLISH_NEWTON_MAX = 40
 GRAD_TOL = 1e-8
 SPECTRUM_SIZE = 8
+STALL_STEPS = 2
+KERNEL_GAP = 1e-2
+KERNEL_STEPS = 2
 # Newton stops once its residual is below FLOOR_FACTOR * eps * ||terms||_W,
 # the rounding floor of the stationarity equation at the current iterate.
-FLOOR_FACTOR = 100.0
+FLOOR_FACTOR = 10.0
 MIN_DAMPING = 1e-6
 # multistart_minimize: values within this relative distance of the lowest tie
 RANK_RTOL = 1e-12
@@ -132,7 +138,7 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
     fails to halve the residual norm, then Newton steps from the last iterate.
     Each Newton step is halved until the residual norm drops; iteration stops
     once the norm is below the rounding floor of the terms of the first
-    equation.  Returns the last u and whether it reached that floor.
+    equation.  Returns the last u, theta and mu and whether it reached that floor.
     """
     disc = spec.disc
     qw = disc.quad_weights
@@ -180,7 +186,37 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
         if not trial_norm < norm:
             break
         x, r, norm = trial, trial_r, trial_norm
-    return x[:n], bool(norm <= floor)
+    return x[:n], x[n], x[n + 1 :], bool(norm <= floor)
+
+
+def _polish(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
+    """Bordered Newton (l = 0) from (u, theta), with kernel steps where it stalls.
+
+    Near a quartic minimum Newton creeps along the Hessian kernel.  After STALL_STEPS plain
+    steps short of the floor, K spans the tangent eigenfunctions with eigenvalues below
+    KERNEL_GAP times the largest of the bottom spectrum; the bordered system at kernel
+    coordinates c gives mu(c), homogeneous of degree 3 in c - c*, so by Euler's identity
+    c - 3 M^{-1} mu, M = dmu/dc, lands on c*.  Otherwise plain Newton continues.
+    """
+    disc, plain = spec.disc, (np.zeros((spec.disc.n, 0)), np.zeros(0))
+    u, theta, _, done = _bordered_newton(spec, u, theta, *plain, STALL_STEPS)
+    if done:
+        return u
+    u_q = fn.normalize(DiscreteFunction(disc, np.abs(u)), spec.q)
+    sd = hessian_spectrum_at(spec, u_q, min(SPECTRUM_SIZE, disc.n - 1))
+    lams = np.abs(sd.eigenvalues)
+    kernel = [f.values for lam, f in zip(lams, sd.eigenfunctions) if lam < KERNEL_GAP * lams.max()]
+    if kernel:
+        K, n1, l = np.column_stack(kernel), disc.n + 1, len(kernel)
+        c = K.T @ (disc.quad_weights * u)
+        v, eta, mu, _ = _bordered_newton(spec, u, theta, K, c)
+        for _ in range(KERNEL_STEPS):  # M: the Jacobian solved against its border columns
+            M = np.linalg.solve(_bordered_jacobian(spec, v, eta, K), np.eye(n1 + l, l, -n1))
+            c = c - 3.0 * np.linalg.solve(M[n1:], mu)
+            v, eta, mu, _ = _bordered_newton(spec, v, eta, K, c)
+            if _bordered_newton(spec, v, eta, *plain, 0)[3]:
+                return v
+    return _bordered_newton(spec, u, theta, *plain, POLISH_NEWTON_MAX - STALL_STEPS)[0]
 
 
 def _best(results: list):
@@ -253,11 +289,9 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
     del lu  # n x n: freed before the polish and the spectrum build theirs
     results = []
     for u, qval, its in zip(U, qvals, iterations.tolist()):
-        polished, _ = _bordered_newton(spec, u, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0),
-                                       POLISH_NEWTON_MAX)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fn.MixedSignWarning)
-            u = fn.normalize(DiscreteFunction(disc, polished), q)
+            u = fn.normalize(DiscreteFunction(disc, _polish(spec, u, 2.0 * qval)), q)
         grad_residual = _l2_norm(spec, fn.gradient(spec, u).values)
         results.append(CriticalPoint(u, fn.quotient(spec, u), grad_residual,
                                      grad_residual < GRAD_TOL, its))
@@ -317,7 +351,7 @@ def reduced_functional(
     target = K.T @ (disc.quad_weights * v.u.values) + coords
     if v._chord is None or v._chord[0] is not spec:
         v._chord = (spec, lu_factor(_bordered_jacobian(spec, v.u.values, 2.0 * v.value, K)))
-    u, converged = _bordered_newton(
+    u, _, _, converged = _bordered_newton(
         spec, v.u.values + K @ coords, 2.0 * v.value, K, target, chord=v._chord[1]
     )
     value = fn.quotient(spec, DiscreteFunction(disc, u)) if converged else math.nan

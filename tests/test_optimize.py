@@ -144,7 +144,7 @@ def test_minimize_rejects_zero_init(subcritical_spec):
 
 
 def _reference_minimize(spec, init):
-    """minimize's projected-gradient loop on DiscreteFunction objects, then its polish.
+    """minimize's projected-gradient loop on DiscreteFunction objects, then its polish (_polish).
 
     Returns (u, value, grad_residual, iterations, converged).
     """
@@ -176,9 +176,7 @@ def _reference_minimize(spec, init):
             step *= 0.5
         if not accepted:
             break
-    polished, _ = opt._bordered_newton(
-        spec, u.values, 2.0 * qval, np.zeros((disc.n, 0)), np.zeros(0), opt.POLISH_NEWTON_MAX
-    )
+    polished = opt._polish(spec, u.values, 2.0 * qval)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fn.MixedSignWarning)
         u = fn.normalize(DiscreteFunction(disc, polished), spec.q)
@@ -206,7 +204,7 @@ def test_minimize_matches_reference_loop(case, critical_product_spec):
     if case == "sphere-d3-bubble":
         # the flat quartic valley: every projected-gradient iteration runs
         spec = _sphere_spec(3, 4.0)
-        init, pg_steps = bubble(spec.disc, 1.0, 0.9).values, (400, 400)
+        init, pg_steps = bubble(spec.disc, 1.0, 0.9).values, (opt.MAX_ITER, opt.MAX_ITER)
     elif case == "sphere-d8-q2.5":
         # hands off to the Newton polish after a few steps
         spec = _sphere_spec(8, 2.5)
@@ -410,7 +408,9 @@ def _reference_sample(spec, cp, coords):
     """reduced_functional by damped Newton with a fresh Jacobian at every step."""
     K = np.column_stack([f.values for f in cp.kernel_basis])
     target = K.T @ (spec.disc.quad_weights * cp.u.values) + coords
-    u, converged = opt._bordered_newton(spec, cp.u.values + K @ coords, 2.0 * cp.value, K, target)
+    u, _, _, converged = opt._bordered_newton(
+        spec, cp.u.values + K @ coords, 2.0 * cp.value, K, target
+    )
     assert converged
     return fn.quotient(spec, DiscreteFunction(spec.disc, u))
 
@@ -510,13 +510,67 @@ def test_multistart_ranks_converged_then_value_then_residual(swap):
     assert ranked(higher, loose) is loose
 
 
+def _newton_calls(monkeypatch):
+    """(K's column count, max_iter, converged) of each _bordered_newton call, in order."""
+    calls = []
+    real = opt._bordered_newton
+
+    def logged(spec, u, theta, K, target, max_iter=opt.NEWTON_MAX, chord=None):
+        out = real(spec, u, theta, K, target, max_iter, chord)
+        calls.append((K.shape[1], max_iter, out[3]))
+        return out
+
+    monkeypatch.setattr(opt, "_bordered_newton", logged)
+    return calls
+
+
 def test_multistart_factors_once_and_builds_one_spectrum(subcritical_spec, monkeypatch):
+    # one descent factorization, one spectrum for the winner and one kernel detection for each
+    # row whose first polish steps miss the floor: the 8 starts that are not the constant
     factorizations = _counting(monkeypatch, "lu_factor")
     spectra = _counting(monkeypatch, "hessian_spectrum_at")
+    calls = _newton_calls(monkeypatch)
     cp = opt.multistart_minimize(subcritical_spec, seed=0, extra_starts=4)
+    stalled = [call for call in calls if call == (0, opt.STALL_STEPS, False)]
     assert len(factorizations) == 1
-    assert len(spectra) == 1
+    assert len(stalled) == 8
+    assert len(spectra) == 1 + len(stalled)
     assert cp.kernel_dim == 1 and len(cp.hessian_spectrum.eigenvalues) == opt.SPECTRUM_SIZE
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("model,d,q,start", [
+    ("sphere", 3, 4.0, "bubble-0.9"), ("sphere", 8, 2.5, "first-mode"),
+    ("product", 4, None, "first-mode"),
+])
+def test_minimize_converges_at_degenerate_minima(model, d, q, start, n, monkeypatch):
+    # plain Newton creeps along the kernel from these starts and used to end unconverged;
+    # one or two kernel corrections reach the floor
+    spec = _degenerate_spec(model, d, q, n)
+    disc = spec.disc
+    init = bubble(disc, 1.0, 0.9).values if start == "bubble-0.9" else 1.0 + 0.3 * _first_mode(disc)
+    calls = _newton_calls(monkeypatch)
+    cp = opt.minimize(spec, DiscreteFunction(disc, init))
+    kernel_solves = [l for l, _, _ in calls if l]
+    assert 1 <= len(kernel_solves) - 1 <= 2  # a solve at the start, then one per correction
+    assert set(kernel_solves) == {cp.kernel_dim}
+    assert cp.converged and cp.grad_residual < opt.GRAD_TOL
+    assert abs(cp.value - 1.0) <= 1e-12
+
+
+def test_polish_falls_back_to_plain_newton(monkeypatch):
+    # near a nondegenerate minimum with a small eigenvalue (A = 1.01 A_opt) mu is linear in c,
+    # so the corrections for a triple root miss the floor: plain Newton runs as without them
+    spec = _degenerate_spec("sphere", 3, 4.0, 64, 1.01)
+    u = fn.normalize(bubble(spec.disc, 1.0, 0.9), spec.q).values
+    theta = 2.0 * fn.quotient(spec, DiscreteFunction(spec.disc, u))
+    calls = _newton_calls(monkeypatch)
+    polished = opt._polish(spec, u, theta)
+    assert [l for l, _, _ in calls if l] == [1] * (1 + opt.KERNEL_STEPS)
+    monkeypatch.undo()
+    plain, converged = opt._bordered_newton(spec, u, theta, np.zeros((64, 0)), np.zeros(0),
+                                            opt.POLISH_NEWTON_MAX)[::3]
+    assert converged and np.array_equal(polished, plain)
 
 
 def _lockstep_starts(disc):
@@ -628,15 +682,19 @@ START_SCAN = {
 
 
 def test_start_scan(monkeypatch):
-    # 180 starts; 172 of them converged with a descent per start
+    # 180 starts, all converged; only rows at A_opt take kernel steps
     pools = []
     real = opt._best
     monkeypatch.setattr(opt, "_best", lambda results: pools.append(results) or real(results))
+    calls = _newton_calls(monkeypatch)
     for (model, d, q, a), (kernel_dim, values) in START_SCAN.items():
         for n, value in zip((64, 128), values):
             spec = _degenerate_spec(model, d, q, n, a)
+            before = len(calls)
             cp = opt.multistart_minimize(spec, 7, extra_starts=4)
             assert cp.kernel_dim == kernel_dim, (model, d, q, a, n)
             assert cp.value == pytest.approx(value, rel=opt.RANK_RTOL, abs=0.0)
+            if a != 1.0:
+                assert not any(l for l, _, _ in calls[before:]), (model, d, q, a, n)
     assert sum(len(pool) for pool in pools) == 180
-    assert sum(cp.converged for pool in pools for cp in pool) >= 172
+    assert sum(cp.converged for pool in pools for cp in pool) == 180
