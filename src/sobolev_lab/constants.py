@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from . import discretization as dz
 from . import functionals as fn
@@ -133,6 +132,7 @@ def estimate_b_opt(
     hence a valid lower bound. Monotone nondecreasing in `budget`
     (best-so-far over seeds 0..budget-1). `model` is not read: `disc` carries it.
     """
+    from scipy.optimize import minimize as scipy_minimize  # here: it adds ~0.2 s to start-up
     spec_data = laplace_eigenpairs(disc, min(n_modes, disc.n))
     phi_mat = np.column_stack([f.values for f in spec_data.eigenfunctions])
     k = phi_mat.shape[1]

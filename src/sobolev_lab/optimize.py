@@ -239,13 +239,11 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
     for u in inits:
         fn.check_normalized(spec, u)
     U, qvals = np.array([u.values for u in inits]), [fn.quotient(spec, u) for u in inits]
-    # W^{1,2}-type preconditioner for the L^2 gradient: the Jacobian at theta = 0
-    lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, U[0], 0.0))
-    (getrs,) = get_lapack_funcs(("getrs",), (lu,))
     # Summed by np.add.reduce (as np.sum does) in the order of gradient and normalize, roots
     # and squares taken as scalars row by row: one row's iterates are theirs bit for bit.
     qw, D, total = disc.quad_weights, disc.diff_matrix, np.add.reduce
     step, iterations, live = [1.0] * len(U), np.zeros(len(U), dtype=int), np.arange(len(U))
+    lu = None  # factored in the first round with a live row: starts at a minimum skip it
     for _ in range(MAX_ITER):
         V = U[live]
         F = fn.euler_lagrange(spec, V, 0.0)
@@ -260,6 +258,9 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
             if not live.size:
                 break
         iterations[live] += 1
+        if lu is None:  # W^{1,2}-type preconditioner: the Jacobian at theta = 0, free of u
+            lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, U[0], 0.0))
+            (getrs,) = get_lapack_funcs(("getrs",), (lu,))
         P, info = getrs(lu, piv, G.T)
         if info:
             raise ValueError(f"getrs failed with info {info}")

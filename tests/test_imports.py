@@ -1,8 +1,12 @@
 """Every module-level import in the package and the tests is read somewhere,
-the package imports its own modules at module level only, and the CLI is the
-only package module that imports json or csv: it alone formats output."""
+the package imports its own modules at module level only, the CLI is the
+only package module that imports json or csv: it alone formats output, and
+scipy.optimize is loaded by the B_opt search alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,3 +56,42 @@ def test_only_the_cli_imports_json():
             for top in {m.split(".")[0] for m in modules} & importers.keys():
                 importers[top].add(path.name)
     assert importers == {"json": {"cli.py"}, "csv": {"cli.py"}}
+
+
+def test_no_package_module_imports_scipy_optimize_at_module_level():
+    importers = []
+    for path in sorted((ROOT / "src" / "sobolev_lab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            importers += [path.name for m in modules if m.startswith("scipy.optimize")]
+    assert importers == []
+
+
+COLD_PATH = """
+import sys
+import numpy as np
+from sobolev_lab import cli, constants, optimize, stability
+from sobolev_lab.discretization import DiscreteFunction, build
+from sobolev_lab.geometry import make_sphere
+
+cli.main(["spectrum", "--n", "16", "--k", "2", "--out", sys.argv[1]])
+disc = build(make_sphere(3), 16)
+optimize.minimize(constants.default_spec(disc, 4.0), DiscreteFunction(disc, np.ones(16)))
+stability.distance_to_extremals(stability.bubble(disc, 1.0, 0.5), "bubbles_and_constants")
+assert "scipy.optimize" not in sys.modules
+constants.estimate_b_opt(disc.model, disc, budget=0, n_modes=2)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_only_the_b_opt_search_loads_scipy_optimize(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", COLD_PATH, str(tmp_path / "s.json")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -510,6 +510,16 @@ def test_multistart_ranks_converged_then_value_then_residual(swap):
     assert ranked(higher, loose) is loose
 
 
+@pytest.mark.parametrize("model,d,q", [("sphere", 3, 4.0), ("product", 4, None)])
+def test_minimize_from_the_constant_factors_nothing(model, d, q, monkeypatch):
+    # the constant is the minimum of a degenerate spec: it leaves the descent in round 0,
+    # before the preconditioner is factored
+    spec = _degenerate_spec(model, d, q, 64)
+    factorizations = _counting(monkeypatch, "lu_factor")
+    cp = opt.minimize(spec, _constant(spec.disc, spec.q))
+    assert factorizations == [] and cp.iterations == 0 and cp.converged
+
+
 def _newton_calls(monkeypatch):
     """(K's column count, max_iter, converged) of each _bordered_newton call, in order."""
     calls = []

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
@@ -234,6 +235,59 @@ def test_distance_to_bubbles_is_rounding_level_on_the_search_grid(d):
         for pole in (b, -b):
             u = st.bubble(disc, 1.3, pole)
             assert st.distance_to_extremals(u, "bubbles_and_constants") <= 1e-13
+
+
+def _brent_and_brentq(f, lo, hi, brent=st._brent):
+    """(distance^2 from _brent, f's distance^2 at brentq's root, the points each evaluated)."""
+    ours, theirs = [], []
+    d2 = brent(lambda b: ours.append(b) or f(b), lo, hi)
+    root = brentq(lambda b: theirs.append(b) or f(b)[0], lo, hi, xtol=1e-300)
+    return d2, f(root)[1], ours, theirs
+
+
+@pytest.mark.parametrize("slope,lo,hi", [
+    (lambda x: math.exp(5.0 * (x - 0.3)) - 1.0, 0.0, 1.0),  # smooth; a step near 3|sbis|
+    (lambda x: (x - 1.0 / 3.0) ** 3 + 1e-6 * (x - 1.0 / 3.0), 0.0, 1.0),  # 7 bisection steps
+    (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),  # a jump
+])
+def test_brent_is_brentq_step_for_step(slope, lo, hi):
+    # f returns (slope, b), so the distance^2 _brent returns is its root
+    d2, want, ours, theirs = _brent_and_brentq(lambda b: (slope(b), b), lo, hi)
+    assert d2 == want and ours == theirs and len(ours) > 3
+
+
+def test_brent_is_brentq_step_for_step_on_the_envelope_slope(monkeypatch):
+    real, brackets = st._brent, []
+
+    def compared(f, lo, hi):
+        d2, want, ours, theirs = _brent_and_brentq(f, lo, hi, real)
+        assert d2 == want and ours == theirs
+        brackets.append(len(ours))
+        return d2
+
+    monkeypatch.setattr(st, "_brent", compared)
+    disc = build(make_sphere(3), 64)
+    for values in _chebyshev_samples(disc, 5):
+        st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
+    assert len(brackets) >= 5 and min(brackets) > 3
+
+
+def test_brent_failures_are_brentq_failures():
+    def at(slope):
+        return lambda b: (slope(b), b)
+
+    # an end where the slope is exactly 0 is the root
+    assert st._brent(at(lambda x: x), 0.0, 1.0) == brentq(lambda x: x, 0.0, 1.0) == 0.0
+    assert st._brent(at(lambda x: x - 1.0), 0.0, 1.0) == 1.0
+    for slope, lo, error in [
+        (lambda x: x + 1.0, 0.0, ValueError),  # one sign at both ends
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, ValueError),  # a NaN slope
+        (lambda x: -1.0 if x <= 0.0 else 1.0, -1.0, RuntimeError),  # 100 halvings short of 0
+    ]:
+        with pytest.raises(error):
+            brentq(slope, lo, 1.0, xtol=1e-300)
+        with pytest.raises(error):
+            st._brent(at(slope), lo, 1.0)
 
 
 @pytest.mark.skipif(
