@@ -61,8 +61,13 @@ HELP = {
     "b_budget": "random starts (>= 0) of the L-BFGS search for the B_opt lower bound; "
                 "each start and end point is certified by the reference quotient",
     "init": "constant | random | bubble:<b>",
+    "seed": "seed (>= 0) of the Philox stream behind the random starts",
+    "multistart": "minimize from the constant, eigenmode, bubble and random starts; keep the best",
     "k": "number of eigenpairs",
     "mode_index": "Laplace mode used as the ray direction",
+    "eps_lo": "smallest ray step epsilon",
+    "eps_hi": "largest ray step epsilon",
+    "eps_count": "number of epsilons, log-spaced from eps_lo to eps_hi",
 }
 
 
@@ -364,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in OPTIONS[command].items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                p.add_argument(flag, action="store_true", default=None, help=HELP.get(key))
+                p.add_argument(flag, action="store_true", default=None, help=HELP[key])
             else:
-                p.add_argument(flag, type=type(default), help=HELP.get(key))
+                p.add_argument(flag, type=type(default), help=HELP[key])
         p.add_argument("--out", help=HELP["out"])
         if command == "scan":
             p.add_argument("--csv", help="also write the per-epsilon table as CSV")

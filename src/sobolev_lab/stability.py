@@ -3,7 +3,7 @@
 The central objects are rays u_eps = base + eps * direction leaving a normalized
 extremal, the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family
 of extremals: the constants, or with them the bubbles at both poles, whose nearest b is
-bracketed on a grid and solved by Brent's method (`_brent`: brentq's steps), distance at the root.
+bracketed on a grid and solved by Chandrupatla's method (`_root`), distance at the root.
 A log-log fit of deficit against distance estimates the stability exponent: 2 for
 non-degenerate specs, 4 in the degenerate cases (sphere sub-critical, product critical).
 """
@@ -55,43 +55,35 @@ def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
     return _w12_pair(disc.quad_weights * uu, uu)
 
 
-def _brent(f, lo: float, hi: float) -> float:
-    """Distance^2 at the root in [lo, hi] of the slope, f(b) = (slope, distance^2), by Brent's
-    method: scipy's brentq C loop step for step (xtol 1e-300, rtol 4 eps, 100 iterations), with
-    its failures: ValueError on ends of one sign or a NaN slope, RuntimeError on no convergence.
-    """
-    def at(x: float) -> tuple:  # (b, slope, distance^2)
-        s, d2 = f(x)
-        if math.isnan(s):
-            raise ValueError(f"the slope is NaN at b = {x}")
-        return x, s, d2
-
-    pre, cur = at(float(lo)), at(float(hi))
-    if pre[1] == 0 or cur[1] == 0:
-        return pre[2] if pre[1] == 0 else cur[2]
-    if (pre[1] < 0) == (cur[1] < 0):
-        raise ValueError("the slope has one sign at both ends")
-    rtol, spre, scur = 4.0 * float(np.finfo(float).eps), 0.0, 0.0
+def _root(f, lo: float, hi: float) -> float:
+    """Distance^2 at the root in [lo, hi] of the slope, f(b) = (slope, distance^2), read at the
+    bracket end of smaller |slope| once tol = 4 eps |b| + 1e-300 exceeds half the bracket, by
+    Chandrupatla's method (Adv. Eng. Softw. 28, 1997); RuntimeError after 100 steps.  Where the
+    end slopes do not bracket (one sign, an exact 0, a NaN slope anywhere): the lesser end's."""
+    x1, x2, t = float(lo), float(hi), 0.5
+    (f1, d1), (f2, d2) = f(x1), f(x2)
+    lesser = min(d1, d2)
+    if not (f1 < 0 < f2 or f2 < 0 < f1):  # signs, not the product, which can underflow to 0
+        return lesser
     for _ in range(100):
-        if cur[1] and (pre[1] < 0) != (cur[1] < 0):  # cur and blk bracket the root
-            blk, spre, scur = pre, cur[0] - pre[0], cur[0] - pre[0]
-        if abs(blk[1]) < abs(cur[1]):
-            pre, cur, blk = cur, blk, cur
-        (xpre, fpre, _), (xcur, fcur, d2), (xblk, fblk, _) = pre, cur, blk
-        delta, sbis = (1e-300 + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return d2
-        good = False  # an interpolation step short enough; bisection otherwise
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        pre, cur = cur, at(xcur + (scur if abs(scur) > delta else delta if sbis > 0 else -delta))
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
+        xt = x1 + t * (x2 - x1)
+        ft, dt = f(xt)
+        if math.isnan(ft):
+            return lesser
+        if (ft < 0) != (f1 < 0):  # xt brackets the root with x1, so x1 and x2 swap
+            x1, f1, d1, x2, f2, d2 = x2, f2, d2, x1, f1, d1
+        x3, f3, x1, f1, d1 = x1, f1, xt, ft, dt  # x3 is the point that left the bracket
+        xm, fm, dm = (x1, f1, d1) if abs(f1) < abs(f2) else (x2, f2, d2)
+        tl = (4.0 * float(np.finfo(float).eps) * abs(xm) + 1e-300) / abs(x2 - x1)  # least step
+        if fm == 0 or tl > 0.5:
+            return dm
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        t = 0.5  # bisection, unless the inverse quadratic through the three points is safe
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                 - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3))
+        t = min(1.0 - tl, max(tl, t))
+    raise RuntimeError("Chandrupatla's method did not converge in 100 steps")
 
 
 def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> float:
@@ -99,11 +91,11 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     # one, so one search in b >= 0 runs on u and on u[mirror].  a(b) is closed form, and the
     # envelope derivative d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to +
     # on the grid (step ~0.5 / max(1, |e|) in s, as |d_s log g| <= 2|e|) around each minimum
-    # in b; Brent's method (_brent, brentq step for step) solves it to rtol 4 eps, as an exact
-    # bubble's distance is linear in |b - b*|, and gives the distance at the root.  A grid end
-    # counts unless the distance falls from it into the grid.  r is formed (||u||^2 - <u,g>^2 /
-    # ||g||^2 is noise on a bubble) and D r taken: Du - a Dg loses up to 40x more digits, as D
-    # is O(n^2) on the O(1) parts of u and g.
+    # in b; Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance
+    # is linear in |b - b*|, and gives the distance at the root (the lesser node's where the
+    # slope is 0 to rounding at one).  A grid end counts unless the distance falls from it into
+    # the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken:
+    # Du - a Dg loses up to 40x more digits, as D is O(n^2) on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
     e = (2.0 - d) / 2.0
     if disc._bubble_grid is None:  # the grid pass depends on disc only: made once, kept on it
@@ -129,13 +121,10 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
         wu = w * uu
         a = (wu[0] @ G + wu[1] @ DG) / gg
         slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * gdg)
-        nodes = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
-        for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0)):
-            try:
-                dists.append(_brent(lambda b: fit(b, uu), grid[i], grid[i + 1]))
-            except ValueError:  # the slope is zero to rounding at a grid point
-                nodes += [grid[i], grid[i + 1]]
-        dists += [fit(b, uu)[1] for b in nodes]
+        ends = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
+        dists += [fit(b, uu)[1] for b in ends]
+        dists += [_root(lambda b: fit(b, uu), grid[i], grid[i + 1])
+                  for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0))]
     return math.sqrt(min(dists)) / norm_u
 
 

@@ -9,10 +9,12 @@ import pytest
 import sobolev_lab
 
 from sobolev_lab import constants as cst
+from sobolev_lab import optimize as opt
 from sobolev_lab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
+    HELP,
     OPTIONS,
     _resolve,
     build_parser,
@@ -101,6 +103,16 @@ def test_help_exits_zero(command, capsys):
     assert capsys.readouterr().out.startswith(f"usage: sobolev-lab {command}")
 
 
+def test_every_option_has_a_help_string():
+    assert all(HELP[key] for row in OPTIONS.values() for key in row)
+
+
+def test_report_without_out_is_printed(capsys):
+    assert main(["spectrum", "--n", "64", "--k", "3"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["eigenvalues"]) == 3 and payload["config"]["k"] == 3
+
+
 @pytest.mark.parametrize("argv, keys", [
     (["constants", "--n", "64", "--b-budget", "1"],
      ["schema_version", "model", "d", "q", "S_d", "beta", "A_opt", "A_opt_provenance",
@@ -179,6 +191,22 @@ def test_minimize_reports_certificate(tmp_path):
     assert payload["value"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_minimize_from_a_seeded_random_start(tmp_path):
+    argv = ["minimize", "--n", "64", "--q", "4", "--init", "random", "--seed", "3"]
+    first = _run(argv, tmp_path, "first.json")
+    assert first["converged"] is True and first["config"]["seed"] == 3
+    assert _run(argv, tmp_path, "again.json") == first
+    assert _run([*argv[:-1], "4"], tmp_path, "other.json")["iterations"] != first["iterations"]
+
+
+def test_minimize_that_does_not_converge_writes_its_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(opt, "GRAD_TOL", 0.0)
+    out = tmp_path / "min.json"
+    assert main(["minimize", "--n", "64", "--q", "4", "--out", str(out)]) == EXIT_NUMERICAL_ERROR
+    assert json.loads(out.read_text())["converged"] is False
+    assert capsys.readouterr().err.startswith("numerical failure: minimization did not converge")
+
+
 def test_minimize_bad_init_is_config_error():
     code = main([
         "minimize", "--model", "sphere", "--d", "3", "--q", "4", "--n", "64",
@@ -213,6 +241,16 @@ def test_scan_bad_epsilon_window_rejected():
         "--family", "constants", "--eps-lo", "0.1", "--eps-hi", "0.01",
     ])
     assert code == EXIT_CONFIG_ERROR
+
+
+def test_scan_below_the_noise_floor_writes_its_report(tmp_path, capsys):
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--n", "64", "--eps-lo", "1e-9", "--eps-hi", "1e-8", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL_ERROR
+    payload = json.loads(out.read_text())
+    assert not any(row["in_fit_window"] for row in payload["rows"])
+    assert math.isnan(payload["fitted_slope"])
+    assert capsys.readouterr().err == "numerical failure: scan produced no usable fit window\n"
 
 
 def test_fit_missing_file_is_config_error(tmp_path):
@@ -419,6 +457,8 @@ def test_thread_cap_is_set_before_blas_loads():
     ["spectrum", "--n", "64", "--config", {"k": True}],
     ["constants", "--n", "64", "--config", {"seed": False}],
     ["minimize", "--n", "64", "--q", "4", "--config", {"A": True}],
+    ["spectrum", "--n", "64", "--k", "0"],
+    ["spectrum", "--n", "64", "--k", "65"],
 ])
 def test_out_of_range_input_is_config_error(argv, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
 from sobolev_lab.discretization import (
     DiscreteFunction,
+    SpectralData,
     build,
     frame_eigenpairs,
     inner,
@@ -88,6 +89,15 @@ def test_kernel_basis_degenerate_constant(subcritical_spec):
     c = _constant(spec.disc, spec.q)
     kernel = opt.kernel_basis_at(opt.hessian_spectrum_at(spec, c, 12))
     assert len(kernel) == 1
+
+
+@pytest.mark.parametrize("near,kernel", [(5e-6, ["zero"]), (1.5e-6, ["zero", "near"])])
+def test_kernel_cut_near_an_eigenvalue_warns_and_still_cuts(near, kernel):
+    # the scale is 2, so the cut is 2e-6 and `near` is within 10x of it
+    spectrum = SpectralData(np.array([1e-12, near, 0.5, 2.0]), ["zero", "near", "a", "b"],
+                            np.zeros(4))
+    with pytest.warns(opt.ThresholdAmbiguityWarning):
+        assert opt.kernel_basis_at(spectrum) == kernel
 
 
 def test_kernel_empty_off_optimal(sphere3_disc):

@@ -237,57 +237,73 @@ def test_distance_to_bubbles_is_rounding_level_on_the_search_grid(d):
             assert st.distance_to_extremals(u, "bubbles_and_constants") <= 1e-13
 
 
-def _brent_and_brentq(f, lo, hi, brent=st._brent):
-    """(distance^2 from _brent, f's distance^2 at brentq's root, the points each evaluated)."""
+def _root_and_brentq(f, lo, hi, root=st._root):
+    """(distance^2 from _root, f's distance^2 at brentq's root, the evaluations of each)."""
     ours, theirs = [], []
-    d2 = brent(lambda b: ours.append(b) or f(b), lo, hi)
-    root = brentq(lambda b: theirs.append(b) or f(b)[0], lo, hi, xtol=1e-300)
-    return d2, f(root)[1], ours, theirs
+    d2 = root(lambda b: ours.append(b) or f(b), lo, hi)
+    at = brentq(lambda b: theirs.append(b) or f(b)[0], lo, hi, xtol=1e-300)
+    return d2, f(at)[1], len(ours), len(theirs)
 
 
-@pytest.mark.parametrize("slope,lo,hi", [
-    (lambda x: math.exp(5.0 * (x - 0.3)) - 1.0, 0.0, 1.0),  # smooth; a step near 3|sbis|
-    (lambda x: (x - 1.0 / 3.0) ** 3 + 1e-6 * (x - 1.0 / 3.0), 0.0, 1.0),  # 7 bisection steps
-    (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),  # a jump
-])
-def test_brent_is_brentq_step_for_step(slope, lo, hi):
-    # f returns (slope, b), so the distance^2 _brent returns is its root
-    d2, want, ours, theirs = _brent_and_brentq(lambda b: (slope(b), b), lo, hi)
-    assert d2 == want and ours == theirs and len(ours) > 3
+@pytest.mark.parametrize("slope", [
+    lambda x: math.exp(5.0 * (x - 0.3)) - 1.0,  # smooth
+    lambda x: (x - 1.0 / 3.0) ** 3 + 1e-6 * (x - 1.0 / 3.0),  # flat: many bisection steps
+    lambda x: -1.0 if x < 0.3 else 1.0,  # a jump
+], ids=["smooth", "flat", "jump"])
+def test_root_is_brentqs_root(slope):
+    # f returns (slope, b), so the distance^2 _root returns is its root
+    root, want, ours, theirs = _root_and_brentq(lambda b: (slope(b), b), 0.0, 1.0)
+    assert abs(root - want) <= 4 * np.finfo(float).eps * abs(want) and 3 < ours <= theirs
 
 
-def test_brent_is_brentq_step_for_step_on_the_envelope_slope(monkeypatch):
-    real, brackets = st._brent, []
+def test_root_compares_signs_not_their_product():
+    # the end slopes' product, -0.09e-400, underflows to -0.0
+    assert st._root(lambda b: (1e-200 * (b - 0.3), b), 0.0, 1.0) == pytest.approx(0.3, rel=1e-15)
+
+
+def test_root_is_taken_at_the_point_of_smaller_slope():
+    # the first bisection step lands on the root of b - 0.5, and the search ends there
+    points = []
+    assert st._root(lambda b: points.append(b) or (b - 0.5, b), 0.0, 1.0) == 0.5
+    assert points == [0.0, 1.0, 0.5]
+
+
+def test_root_is_brentqs_root_on_the_envelope_slope(monkeypatch):
+    real, evaluations = st._root, []
 
     def compared(f, lo, hi):
-        d2, want, ours, theirs = _brent_and_brentq(f, lo, hi, real)
-        assert d2 == want and ours == theirs
-        brackets.append(len(ours))
+        d2, want, ours, theirs = _root_and_brentq(f, lo, hi, real)
+        # distances: distance^2 itself scatters by up to 1.7e-15 within 6 ulps of the root in b
+        assert math.sqrt(d2) == pytest.approx(math.sqrt(want), rel=1e-15, abs=0.0)
+        evaluations.append((ours, theirs))
         return d2
 
-    monkeypatch.setattr(st, "_brent", compared)
+    monkeypatch.setattr(st, "_root", compared)
     disc = build(make_sphere(3), 64)
     for values in _chebyshev_samples(disc, 5):
         st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
-    assert len(brackets) >= 5 and min(brackets) > 3
+    ours, theirs = np.sum(evaluations, axis=0)
+    assert len(evaluations) >= 5 and ours <= theirs
 
 
-def test_brent_failures_are_brentq_failures():
-    def at(slope):
-        return lambda b: (slope(b), b)
+@pytest.mark.parametrize("slope,calls", [
+    (lambda x: x, 2),  # an exact zero at b = 0, the end of greater distance
+    (lambda x: x + 1.0, 2),  # one sign at both ends
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 3),  # a NaN slope inside
+    (lambda x: math.nan if x == 0.0 else x - 0.5, 2),  # a NaN slope at an end
+], ids=["zero-end", "one-sign", "nan-inside", "nan-end"])
+def test_root_without_a_bracket_is_the_lesser_end_value(slope, calls):
+    # distance^2 2 - b: 2 at b = 0, and the lesser 1 at b = 1
+    points = []
+    assert st._root(lambda b: points.append(b) or (slope(b), 2.0 - b), 0.0, 1.0) == 1.0
+    assert len(points) == calls
 
-    # an end where the slope is exactly 0 is the root
-    assert st._brent(at(lambda x: x), 0.0, 1.0) == brentq(lambda x: x, 0.0, 1.0) == 0.0
-    assert st._brent(at(lambda x: x - 1.0), 0.0, 1.0) == 1.0
-    for slope, lo, error in [
-        (lambda x: x + 1.0, 0.0, ValueError),  # one sign at both ends
-        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, ValueError),  # a NaN slope
-        (lambda x: -1.0 if x <= 0.0 else 1.0, -1.0, RuntimeError),  # 100 halvings short of 0
-    ]:
-        with pytest.raises(error):
-            brentq(slope, lo, 1.0, xtol=1e-300)
-        with pytest.raises(error):
-            st._brent(at(slope), lo, 1.0)
+
+def test_root_raises_after_100_steps():
+    points = []
+    with pytest.raises(RuntimeError):  # a jump at 0, which 100 halvings of [-1, 1] cannot reach
+        st._root(lambda b: points.append(b) or (-1.0 if b <= 0.0 else 1.0, b), -1.0, 1.0)
+    assert len(points) == 2 + 100
 
 
 @pytest.mark.skipif(
@@ -438,6 +454,31 @@ def test_lojasiewicz_estimate_quartic(subcritical_spec):
 def test_lojasiewicz_estimate_quartic_at_fine_resolution(fine_degenerate_point):
     spec, cp = fine_degenerate_point
     assert abs(st.lojasiewicz_estimate(spec, cp) - 4.0) < 0.1
+
+
+def test_lojasiewicz_estimate_needs_a_kernel(subcritical_spec):
+    u = DiscreteFunction(subcritical_spec.disc, np.ones(subcritical_spec.disc.n))
+    point = opt.CriticalPoint(u=u, value=1.0, grad_residual=0.0, converged=True, iterations=0)
+    with pytest.raises(ValueError, match="no kernel"):
+        st.lojasiewicz_estimate(subcritical_spec, point)
+
+
+@pytest.mark.parametrize("converged,want", [(10, 4.0), (5, 4.0), (4, math.nan)])
+def test_lojasiewicz_estimate_fits_the_converged_samples_only(subcritical_spec, monkeypatch,
+                                                              converged, want):
+    # a quartic reduced functional whose inner solve converges at the `converged` largest
+    # t > 0 only; an unconverged sample reads 1 above the critical value
+    first = st.LOJASIEWICZ_SAMPLING[-converged]
+
+    def sample(spec, v, coords):
+        ok = bool(coords[0] >= first)
+        return opt.ReducedFunctionalSample(v.value + (coords[0] ** 4 if ok else 1.0), ok)
+
+    monkeypatch.setattr(st, "reduced_functional", sample)
+    u = DiscreteFunction(subcritical_spec.disc, np.ones(subcritical_spec.disc.n))
+    point = opt.CriticalPoint(u=u, value=1.0, grad_residual=0.0, converged=True, iterations=0,
+                              kernel_dim=1)
+    assert st.lojasiewicz_estimate(subcritical_spec, point) == pytest.approx(want, nan_ok=True)
 
 
 def test_classify_aggregation():
