@@ -229,9 +229,9 @@ def _initial_guess(cfg: dict, disc):
 def cmd_minimize(args) -> int:
     cfg = _resolve(args)
     spec = _build_spec(cfg)
-    init = None if cfg["multistart"] else _initial_guess(cfg, spec.disc)
+    init = _initial_guess(cfg, spec.disc)  # checks --init, with or without --multistart
     try:  # the inputs are checked by now, so a ValueError of the solver is numerical
-        if init is None:
+        if cfg["multistart"]:
             cp = opt.multistart_minimize(spec, seed=cfg["seed"])
         else:
             cp = opt.minimize(spec, init)

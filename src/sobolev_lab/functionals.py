@@ -64,7 +64,7 @@ class QuotientSpec:
 
 
 def bubble_profile(cos_t: np.ndarray, b: float, d: int) -> np.ndarray:
-    """Sphere extremal profile (1 - b cos t)^{(2-d)/2}, pole at t = 0."""
+    """Sphere extremal profile (1 - b cos t)^{(2-d)/2}, b in (-1, 1); b < 0: pole at t = pi."""
     return (1.0 - b * cos_t) ** ((2.0 - d) / 2.0)
 
 

@@ -2,8 +2,8 @@
 
 The central objects are rays u_eps = base + eps * direction leaving a normalized
 extremal, the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family
-of extremals: the constants, or with them the bubbles at both poles, whose nearest b is
-bracketed on a grid and solved by Chandrupatla's method (`_root`), distance at the root.
+of extremals: the constants, or with them the one bubble family b in (-1, 1), whose nearest b
+is bracketed on a grid and solved by Chandrupatla's method (`_root`), distance at the root.
 A log-log fit of deficit against distance estimates the stability exponent: 2 for
 non-degenerate specs, 4 in the degenerate cases (sphere sub-critical, product critical).
 """
@@ -31,15 +31,14 @@ BUBBLE_STEPS = 15  # steps of their search grid in s, times max(1, |e|); see _di
 
 
 def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
-    """Spherical extremal a*(1 - b*cos t)^{(2-d)/2}, pole at t = 0; b < 0 puts it at t = pi."""
+    """Spherical extremal a*(1 - b*cos t)^{(2-d)/2}: pole at t = 0 if b > 0, at t = pi if b < 0."""
     if disc.model.kind is not ModelKind.SPHERE_RADIAL:
         raise ValueError("bubbles are defined on the sphere-radial model only")
     if a == 0:
         raise ValueError("amplitude a must be nonzero")
     if not 0.0 < abs(b) < 1.0:
         raise ValueError(f"b must satisfy 0 < |b| < 1, got {b}")
-    g = fn.bubble_profile(np.cos(disc.nodes), abs(b), disc.model.dim)
-    return DiscreteFunction(disc, a * (g if b > 0 else g[disc.mirror]))
+    return DiscreteFunction(disc, a * fn.bubble_profile(np.cos(disc.nodes), b, disc.model.dim))
 
 
 def _w12_pair(wf: np.ndarray, h: np.ndarray) -> float:
@@ -87,11 +86,11 @@ def _root(f, lo: float, hi: float) -> float:
 
 
 def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> float:
-    # W^{1,2} least squares on raw rows [f; Df].  A south-pole bubble is a reflected north-pole
-    # one, so one search in b >= 0 runs on u and on u[mirror].  a(b) is closed form, and the
-    # envelope derivative d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to +
-    # on the grid (step ~0.5 / max(1, |e|) in s, as |d_s log g| <= 2|e|) around each minimum
-    # in b; Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance
+    # W^{1,2} least squares on raw rows [f; Df] over the one family b in (-1, 1), b < 0 the
+    # bubbles at t = pi.  a(b) is closed form, and the envelope derivative
+    # d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to + on the grid (step
+    # ~0.5 / max(1, |e|) in s = artanh b, as |d_s log g| <= 2|e|) around each minimum in b;
+    # Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance
     # is linear in |b - b*|, and gives the distance at the root (the lesser node's where the
     # slope is 0 to rounding at one).  A grid end counts unless the distance falls from it into
     # the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken:
@@ -99,32 +98,30 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
     e = (2.0 - d) / 2.0
     if disc._bubble_grid is None:  # the grid pass depends on disc only: made once, kept on it
-        grid = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
+        half = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
+        grid = np.concatenate([-half[:0:-1], half])  # odd in s, with b = 0 and the half's nodes
         base = 1.0 - np.outer(cos_t, grid)
         G, dG = base**e, (-e * cos_t)[:, None] * base ** (e - 1.0)
         DG, DdG = D @ G, D @ dG
         gg, gdg = w @ (G * G + DG * DG), w @ (G * dG + DG * DdG)
         object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg))
     grid, G, dG, DG, DdG, gg, gdg = disc._bubble_grid
-    g, dg, r = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    g, dg, r, wu = np.empty_like(u), np.empty_like(u), np.empty_like(u), w * u
 
-    def fit(b: float, uu: np.ndarray) -> tuple[float, float]:  # (half slope, distance^2) at b
+    def fit(b: float) -> tuple[float, float]:  # (half slope, distance^2) at b
         g[0] = fn.bubble_profile(cos_t, b, d)
         np.matmul(D, g[0], out=g[1])
         np.matmul(D, np.multiply(-e * cos_t / (1.0 - b * cos_t), g[0], out=dg[0]), out=dg[1])
-        a = _w12_pair(w * uu, g) / _w12_pair(w * g, g)
-        np.matmul(D, np.subtract(uu[0], a * g[0], out=r[0]), out=r[1])
+        a = _w12_pair(wu, g) / _w12_pair(w * g, g)
+        np.matmul(D, np.subtract(u[0], a * g[0], out=r[0]), out=r[1])
         return -a * _w12_pair(w * r, dg), _w12_pair(w * r, r)
 
-    dists = []
-    for uu in (u, np.stack([u[0][disc.mirror], D @ u[0][disc.mirror]])):  # poles t = 0, pi
-        wu = w * uu
-        a = (wu[0] @ G + wu[1] @ DG) / gg
-        slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * gdg)
-        ends = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
-        dists += [fit(b, uu)[1] for b in ends]
-        dists += [_root(lambda b: fit(b, uu), grid[i], grid[i + 1])
-                  for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0))]
+    a = (wu[0] @ G + wu[1] @ DG) / gg
+    slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * gdg)
+    ends = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
+    dists = [fit(b)[1] for b in ends]
+    dists += [_root(fit, grid[i], grid[i + 1])
+              for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0))]
     return math.sqrt(min(dists)) / norm_u
 
 

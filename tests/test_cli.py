@@ -459,6 +459,7 @@ def test_thread_cap_is_set_before_blas_loads():
     ["minimize", "--n", "64", "--q", "4", "--config", {"A": True}],
     ["spectrum", "--n", "64", "--k", "0"],
     ["spectrum", "--n", "64", "--k", "65"],
+    ["minimize", "--n", "16", "--q", "4", "--multistart", "--init", "sombrero"],
 ])
 def test_out_of_range_input_is_config_error(argv, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -27,10 +27,12 @@ def test_bubble_profile(sphere3_disc):
     u = st.bubble(sphere3_disc, 2.0, 0.5)
     want = 2.0 * (1.0 - 0.5 * np.cos(sphere3_disc.nodes)) ** -0.5
     assert np.allclose(u.values, want)
-    # b < 0 is the bubble at the south pole, the reflection of the one at -b
+    # b < 0 is the bubble at the south pole, from the same formula; it is the reflection of
+    # the one at -b to rounding only, as the nodes' cosines are mirror-antisymmetric to 1 ulp
     south = st.bubble(sphere3_disc, 2.0, -0.5)
-    assert np.array_equal(south.values, u.values[sphere3_disc.mirror])
-    assert np.allclose(south.values, 2.0 * (1.0 + 0.5 * np.cos(sphere3_disc.nodes)) ** -0.5)
+    assert np.array_equal(south.values, 2.0 * (1.0 + 0.5 * np.cos(sphere3_disc.nodes)) ** -0.5)
+    mirrored = u.values[sphere3_disc.mirror]
+    assert np.all(np.abs(south.values - mirrored) <= 4 * np.finfo(float).eps * np.abs(mirrored))
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -221,7 +223,8 @@ def test_distance_to_bubbles_finds_the_lower_of_two_local_minima():
 @pytest.mark.parametrize("d", [3, 5, 8])
 def test_distance_to_bubbles_is_rounding_level_on_bubbles(d):
     disc = build(make_sphere(d), 128)
-    for b in (0.3, 0.6, 0.9, -0.3, -0.6, -0.9):
+    # at |b| <= 0.01 the bracket of the nearest bubble straddles b = 0
+    for b in (0.3, 0.6, 0.9, -0.3, -0.6, -0.9, 1e-4, -1e-4, 0.01, -0.01):
         assert st.distance_to_extremals(st.bubble(disc, 2.0, b), "bubbles_and_constants") <= 1e-13
 
 
@@ -235,6 +238,19 @@ def test_distance_to_bubbles_is_rounding_level_on_the_search_grid(d):
         for pole in (b, -b):
             u = st.bubble(disc, 1.3, pole)
             assert st.distance_to_extremals(u, "bubbles_and_constants") <= 1e-13
+            assert pole in disc._bubble_grid[0]
+    assert len(disc._bubble_grid[0]) == 1 + 2 * steps
+
+
+def test_distance_to_bubbles_fits_fewer_bubbles_than_two_half_searches(monkeypatch):
+    # one search over b in (-1, 1) instead of one over [0, 1) on u and on its reflection:
+    # the latter took 275 bubble_profile calls on these 20 samples
+    real, calls = fn.bubble_profile, []
+    monkeypatch.setattr(fn, "bubble_profile", lambda *args: calls.append(1) or real(*args))
+    disc = build(make_sphere(3), 64)
+    for values in _chebyshev_samples(disc):
+        st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
+    assert len(calls) < 275
 
 
 def _root_and_brentq(f, lo, hi, root=st._root):
