@@ -58,7 +58,7 @@ HELP = {
     "q": "exponent in (2, 2*]; default 2*",
     "A": "gradient constant; default A_opt",
     "B": "zero-order constant; default Vol^(2/q-1)",
-    "b_budget": "random starts (>= 0) of the L-BFGS search for the B_opt lower bound; "
+    "b_budget": "random starts (>= 0) of the BFGS ascent for the B_opt lower bound; "
                 "each start and end point is certified by the reference quotient",
     "init": "constant | random | bubble:<b>",
     "seed": "seed (>= 0) of the Philox stream behind the random starts",

@@ -108,22 +108,98 @@ def test_b_search_basis_has_closed_form_gram_and_stiffness(disc_name, request):
     assert np.max(np.abs(stiff - np.diag(lam))) <= 1e-12 * lam[-1]
 
 
+def _b_starts(disc, phi, rng, count=4):
+    # the constant, a +-0.3 perturbation, the projected bubble starts and random starts
+    k = phi.shape[1]
+    rows = [np.eye(k)[0], np.eye(k)[0] + 0.3 * np.eye(k)[1], np.eye(k)[0] - 0.3 * np.eye(k)[1]]
+    rows += [phi.T @ (disc.quad_weights * bub) for bub in fn.bubble_starts(disc)]
+    rows += [np.eye(k)[0] + 0.2 * rng.standard_normal(k) for _ in range(count)]
+    return np.array(rows)
+
+
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_b_ratio_gradient_matches_finite_difference(disc_name, request, rng):
     disc = request.getfixturevalue(disc_name)
     phi, lam = _b_search_space(disc)
     k = phi.shape[1]
-    c = np.eye(k)[0] + 0.2 * rng.standard_normal(k)
-    ratio, grad = cst._b_ratio_and_grad(c, disc, phi, lam)
-    # the closed-form ratio is the reference quotient at the same u
-    assert ratio == pytest.approx(cst._b_objective(disc, phi, c), rel=1e-12, abs=0.0)
+    C = np.eye(k)[0] + 0.2 * rng.standard_normal((3, k))
+    ratio, grad = cst._b_ratio_and_grad(C, disc, phi, lam)
+    assert ratio.shape == (3,) and grad.shape == (3, k)
     h = 1e-5
     fd = np.array([
-        (cst._b_ratio_and_grad(c + h * e, disc, phi, lam)[0]
-         - cst._b_ratio_and_grad(c - h * e, disc, phi, lam)[0]) / (2.0 * h)
+        (cst._b_ratio_and_grad(C + h * e, disc, phi, lam)[0]
+         - cst._b_ratio_and_grad(C - h * e, disc, phi, lam)[0]) / (2.0 * h)
         for e in np.eye(k)
-    ])
-    assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
+    ]).T
+    for c, r, g, f in zip(C, ratio, grad, fd):
+        # the closed-form ratio is the reference quotient at the same u
+        assert r == pytest.approx(cst._b_objective(disc, phi, c), rel=1e-12, abs=0.0)
+        assert np.max(np.abs(g - f)) <= 1e-7 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_b_ratio_stack_matches_one_row_calls(disc_name, request, rng):
+    disc = request.getfixturevalue(disc_name)
+    phi, lam = _b_search_space(disc)
+    C = _b_starts(disc, phi, rng)
+    ratio, grad = cst._b_ratio_and_grad(C, disc, phi, lam)
+    for c, r, g in zip(C, ratio, grad):
+        r1, g1 = cst._b_ratio_and_grad(c, disc, phi, lam)
+        assert isinstance(r1, float) and g1.shape == c.shape
+        assert abs(r - r1) <= 1e-14 * abs(r1)
+        assert np.max(np.abs(g - g1)) <= 1e-14 * np.max(np.abs(g1))
+
+
+def _ascent(disc):
+    phi, lam = _b_search_space(disc)
+    return phi, lambda C: cst._b_ratio_and_grad(C, disc, phi, lam)
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_ascend_never_ends_a_row_below_its_start(disc_name, request, rng):
+    disc = request.getfixturevalue(disc_name)
+    phi, ratio_and_grad = _ascent(disc)
+    C0 = _b_starts(disc, phi, rng)
+    ends = cst._ascend(ratio_and_grad, C0)
+    assert np.all(ratio_and_grad(ends)[0] >= ratio_and_grad(C0)[0])
+    # the certified value differs from the ascended closed form by rounding: a step that
+    # leaves the one unchanged can lower the other by two ulps (a bubble start on S^3 does)
+    starts = np.array([cst._b_objective(disc, phi, c) for c in C0])
+    gains = np.array([cst._b_objective(disc, phi, c) for c in ends]) - starts
+    assert np.all(gains >= -4.0 * np.finfo(float).eps * np.abs(starts))
+    assert np.max(gains) > 0.1
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_ascend_rows_are_independent_of_the_stack(disc_name, request, rng):
+    # bit for bit: every sum is np.add.reduce along a row, never a BLAS product
+    disc = request.getfixturevalue(disc_name)
+    phi, ratio_and_grad = _ascent(disc)
+    C0 = _b_starts(disc, phi, rng)
+    ends = cst._ascend(ratio_and_grad, C0)
+    for i in range(len(C0)):
+        assert np.array_equal(cst._ascend(ratio_and_grad, C0[i : i + 1])[0], ends[i])
+    assert np.array_equal(cst._ascend(ratio_and_grad, C0[::-1]), ends[::-1])
+
+
+def test_ascend_zero_and_nan_rows_leave_without_touching_the_others(sphere3_disc, rng):
+    phi, ratio_and_grad = _ascent(sphere3_disc)
+    C0 = _b_starts(sphere3_disc, phi, rng)
+    k = phi.shape[1]
+    mixed = np.vstack([C0[:2], np.zeros(k), C0[2:5], np.full(k, np.nan), C0[5:]])
+    ends = cst._ascend(ratio_and_grad, mixed)
+    assert np.array_equal(ends[2], np.zeros(k))
+    assert np.all(np.isnan(ends[6]))
+    assert np.array_equal(np.delete(ends, [2, 6], axis=0), cst._ascend(ratio_and_grad, C0))
+
+
+def test_b_objective_is_scale_free(sphere3_disc, rng):
+    phi, _ = _b_search_space(sphere3_disc)
+    c = np.eye(phi.shape[1])[0] + 0.2 * rng.standard_normal(phi.shape[1])
+    ref = cst._b_objective(sphere3_disc, phi, c)
+    for scale in (1e-12, 1e-8, 1.0, 1e8):
+        assert cst._b_objective(sphere3_disc, phi, scale * c) == pytest.approx(ref, rel=1e-14)
+    assert cst._b_objective(sphere3_disc, phi, np.zeros_like(c)) == -math.inf
 
 
 def test_estimate_b_opt_product_matches_nelder_mead_value(product4, product4_disc):
