@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import discretization as dz
 from . import functionals as fn
-from .discretization import DiscreteFunction, Discretization, laplace_eigenpairs
+from .discretization import Discretization, laplace_eigenpairs
 from .functionals import QuotientSpec, check_exponent, sobolev_conjugate
 from .geometry import ManifoldModel, ModelKind, make_product, unit_sphere_volume
 
@@ -80,37 +79,32 @@ ASCENT_GTOL = 1e-12
 ASCENT_FTOL = 1e-15
 
 
-def _b_objective(disc: Discretization, phi_mat: np.ndarray, coeffs: np.ndarray) -> float:
-    # (||u||_{2*}^2 - S_d^2 ||grad u||^2) / ||u||_2^2 over the eigen-subspace
-    d = disc.model.dim
-    two_star = sobolev_conjugate(d)
-    sd2 = euclidean_sobolev_constant(d) ** 2
-    u = DiscreteFunction(disc, phi_mat @ coeffs)
-    l2 = dz.inner(disc, u, u)
-    if l2 == 0.0:  # the zero function (or one whose squares underflow): no ratio
-        return -math.inf
-    return (dz.lp_norm(disc, u, two_star) ** 2 - sd2 * dz.gradient_norm_sq(disc, u)) / l2
+def _b_objective(disc: Discretization, basis: tuple, coeffs: np.ndarray) -> float:
+    # the one-row value of _b_ratio_and_grad; -inf where it has none (the zero function)
+    ratio = _b_ratio_and_grad(coeffs, disc, basis)[0]
+    return -math.inf if math.isnan(ratio) else ratio
 
 
-def _b_ratio_and_grad(coeffs: np.ndarray, disc: Discretization, phi_mat: np.ndarray, lam):
-    """The `_b_objective` ratio at u = phi_mat @ c, and its gradient in c, per row c (or vector).
+def _b_ratio_and_grad(coeffs: np.ndarray, disc: Discretization, basis: tuple):
+    """(||u||_{2*}^2 - S_d^2 ||grad u||^2) / ||u||_2^2 at u = Phi @ c and its gradient, per row c.
 
-    The columns of phi_mat are Laplace eigenfunctions, orthonormal in the quadrature
-    with eigenvalues lam, so ||u||^2 = |c|^2 and ||grad u||^2 = sum lam c^2; with
-    s = sum w|u|^p the gradient of ||u||_p^2 is 2 s^{2/p-1} Phiᵀ(w |u|^{p-2} u).  Sums are
+    basis = (Phi, M, K) with Gram M = PhiᵀWPhi and stiffness K = (DPhi)ᵀW(DPhi), so
+    ||u||^2 = cᵀMc and ||grad u||^2 = cᵀKc; with s = sum w|u|^p the gradient of ||u||_p^2 is
+    2 s^{2/p-1} Phiᵀ(w |u|^{p-2} u).  A vector c gives a float and a vector.  Sums are
     np.add.reduce, not BLAS: a row's values are the same bits in any stack (NaN if zero).
     """
     d = disc.model.dim
     p, sd2 = sobolev_conjugate(d), euclidean_sobolev_constant(d) ** 2
-    w, total, C = disc.quad_weights, np.add.reduce, np.atleast_2d(coeffs)
+    (phi_mat, M, K), w, total, C = basis, disc.quad_weights, np.add.reduce, np.atleast_2d(coeffs)
     U = total(C[:, None, :] * phi_mat, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         wu_pm1 = w * np.abs(U) ** (p - 2.0) * U
         s = total(wu_pm1 * U, axis=1, keepdims=True)
-        KC, l2 = lam * C, total(C * C, axis=1, keepdims=True)
+        MC, KC = total(C[:, None, :] * M, axis=2), total(C[:, None, :] * K, axis=2)
+        l2 = total(C * MC, axis=1, keepdims=True)
         ratio = (s ** (2.0 / p) - sd2 * total(C * KC, axis=1, keepdims=True)) / l2
         Y = 2.0 * s ** (2.0 / p - 1.0) / l2 * wu_pm1
-        grad = total(Y[:, None, :] * phi_mat.T, axis=2) - 2.0 * (sd2 * KC + ratio * C) / l2
+        grad = total(Y[:, None, :] * phi_mat.T, axis=2) - 2.0 * (sd2 * KC + ratio * MC) / l2
     return (float(ratio[0, 0]), grad[0]) if np.ndim(coeffs) == 1 else (ratio[:, 0], grad)
 
 
@@ -170,17 +164,18 @@ def estimate_b_opt(
     """Certified lower bound for the second-best zero-order constant.
 
     Ascends the ratio (||u||_{2*}^2 - S_d^2 ||grad u||^2) / ||u||_2^2 over the span
-    of the low Laplace eigenfunctions from all starts in one lockstep BFGS ascent
-    (`_ascend`, at most ASCENT_ROUNDS rounds) of its closed form (`_b_ratio_and_grad`).
-    Each start and end point is re-evaluated by `_b_objective`, and the best value is
-    returned: each is the ratio at an actual u, hence a valid lower bound.  A start
-    ends at the same point whatever the others, so the value is monotone
-    nondecreasing in `budget` (seeds 0..budget-1).  `model` is not read: `disc` is.
+    of the low Laplace eigenfunctions Phi from all starts in one lockstep BFGS ascent
+    (`_ascend`, at most ASCENT_ROUNDS rounds) of `_b_ratio_and_grad`, on Phi's Gram and
+    stiffness matrices built once.  The best end's `_b_objective`, that formula for one
+    row, is returned: the ratio at an actual u, hence a valid lower bound, and no end is
+    below its start.  A start ends at the same point whatever the others, so the value is
+    monotone nondecreasing in `budget` (seeds 0..budget-1).  `model` is unread: `disc` is.
     """
     spec_data = laplace_eigenpairs(disc, min(n_modes, disc.n))
     phi_mat = np.column_stack([f.values for f in spec_data.eigenfunctions])
-    k = phi_mat.shape[1]
-    w = disc.quad_weights
+    k, w = phi_mat.shape[1], disc.quad_weights
+    dphi = disc.diff_matrix @ phi_mat
+    basis = (phi_mat, phi_mat.T @ (w[:, None] * phi_mat), dphi.T @ (w[:, None] * dphi))
     eye = np.eye(k)
     starts = [eye[0]]
     for j in (1, 2):
@@ -192,10 +187,8 @@ def estimate_b_opt(
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(budget):
         starts.append(eye[0] + 0.2 * rng.standard_normal(k))
-    C0 = np.array(starts)
-    ends = _ascend(lambda C: _b_ratio_and_grad(C, disc, phi_mat, spec_data.eigenvalues), C0)
-    return max(max(_b_objective(disc, phi_mat, c0), _b_objective(disc, phi_mat, c))
-               for c0, c in zip(C0, ends))
+    ends = _ascend(lambda C: _b_ratio_and_grad(C, disc, basis), np.array(starts))
+    return max(_b_objective(disc, basis, c) for c in ends)
 
 
 @dataclass

@@ -3,15 +3,16 @@
 The sphere-radial problem is mapped by x = cos t onto (-1, 1), where the
 volume density becomes the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes x_j and
 weights w_j come from the Gauss-Jacobi rule for that weight, so the vanishing
-boundary density is handled analytically, and the barycentric weights of the
+boundary density is handled analytically, the barycentric weights of the
 nodes are (-1)^j sqrt((1 - x_j^2) w_j) in closed form (Wang, Huybrechs &
-Vandewalle, Math. Comp. 83, 2014).  The radial Laplacian
--Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer eigenfunctions and
-eigenvalues k*(k+d-1).  It is assembled in weak form, W(-Delta) = Dt^T W Dt
-with W the quadrature weights: for degree < n both sides of
-int f_t g_t dVol = int (-Delta f) g dVol have degree <= 2n - 2, and the rule
+Vandewalle, Math. Comp. 83, 2014), and so is d/dx's diagonal (d/2) x_j/(1 - x_j^2).
+The radial Laplacian -Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer
+eigenfunctions and eigenvalues k*(k+d-1).  It is assembled in weak form,
+W(-Delta) = Dt^T W Dt with W the quadrature weights: for degree < n both sides
+of int f_t g_t dVol = int (-Delta f) g dVol have degree <= 2n - 2, and the rule
 is exact to degree 2n - 1, so this is the collocation matrix in exact
 arithmetic, while in floating point W(-Delta) is symmetric by construction.
+Constants are projected out of both, Dt P and P^T W(-Delta) P, P = I - 1 w^T/Vol.
 The circle factor of the product model uses uniform nodes and Fourier
 differentiation; there -Delta f = -f''.  Both operators are built to commute
 bit for bit with the reflection t -> pi - t (s -> -s on the circle), so their
@@ -34,16 +35,6 @@ MIN_NODES = 16
 
 class DiscretizationMismatchError(ValueError):
     """Raised when functions built on different discretizations are mixed."""
-
-
-def _barycentric_diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """First-derivative collocation matrix on nodes x, barycentric weights w (any scale)."""
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    D = (w[None, :] / w[:, None]) / diff
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))  # so D annihilates constants to rounding
-    return D
 
 
 def _fourier_matrices(n: int, length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -102,11 +93,14 @@ def _weak_laplacian(Dt: np.ndarray, qw: np.ndarray) -> np.ndarray:
     G = np.sqrt(qw)[:, None] * Dt
     K = G.T @ G  # exactly symmetric (numpy evaluates G^T G by syrk)
     del G
-    # push the row sums to zero so constants are annihilated to rounding
-    for _ in range(2):
-        K[np.diag_indices_from(K)] -= K @ np.ones(len(qw))
-    K = np.add(K, K[::-1, ::-1])  # a commutative sum: both symmetries stay exact
-    K *= 0.5
+    # K <- PᵀKP with P = I - 1pᵀ, p = W/Vol, so constants are annihilated to rounding
+    p, r = qw / qw.sum(), K.sum(axis=1)
+    r -= 0.5 * r.sum() * p
+    K -= np.outer(r, p)
+    K -= np.outer(p, r)
+    K += K.T
+    K = np.add(K, K[::-1, ::-1])  # commutative sums: both symmetries stay exact
+    K *= 0.25
     return K
 
 
@@ -123,8 +117,15 @@ def build(model: ManifoldModel, n: int) -> Discretization:
         t = np.arccos(x)
         qw = unit_sphere_volume(d - 1) * wq
         sin_t = np.sin(t)  # sqrt(1 - x^2) without its cancellation at the poles
-        Dt = _barycentric_diff_matrix(x, (-1.0) ** np.arange(n) * sin_t * np.sqrt(wq))
+        bw = (-1.0) ** np.arange(n) * sin_t * np.sqrt(wq)  # barycentric weights
+        Dt = x[:, None] - x[None, :]
+        np.fill_diagonal(Dt, 1.0)
+        np.divide(bw[None, :] / bw[:, None], Dt, out=Dt)
+        np.fill_diagonal(Dt, (a + 1.0) * x / sin_t**2)  # the closed-form diagonal of d/dx
         Dt *= -sin_t[:, None]
+        Dt -= Dt[::-1, ::-1]  # exactly odd under the reflection
+        Dt *= 0.5
+        Dt -= np.outer(Dt.sum(axis=1), qw / qw.sum())  # Dt 1 = 0 to rounding
         L = _weak_laplacian(Dt, qw)
         L /= qw[:, None]
         return Discretization(model, n, t, qw, Dt, L, np.arange(n)[::-1])

@@ -5,7 +5,9 @@ import pytest
 
 from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
-from sobolev_lab.discretization import DiscreteFunction, build, laplace_eigenpairs
+from sobolev_lab.discretization import (
+    DiscreteFunction, build, gradient_norm_sq, inner, laplace_eigenpairs, lp_norm,
+)
 from sobolev_lab.geometry import make_product, make_sphere
 
 
@@ -96,9 +98,15 @@ def _b_search_space(disc, k=12):
     return np.column_stack([f.values for f in sd.eigenfunctions]), sd.eigenvalues
 
 
+def _b_basis(disc, phi):
+    # (Phi, Gram PhiᵀWPhi, stiffness (DPhi)ᵀW(DPhi)), as estimate_b_opt builds it
+    w, dphi = disc.quad_weights, disc.diff_matrix @ phi
+    return phi, phi.T @ (w[:, None] * phi), dphi.T @ (w[:, None] * dphi)
+
+
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_b_search_basis_has_closed_form_gram_and_stiffness(disc_name, request):
-    # the premise of _b_ratio_and_grad: PhiᵀWPhi = I and (DPhi)ᵀW(DPhi) = diag(lam)
+    # the Laplace eigenbasis the search spans: PhiᵀWPhi = I and (DPhi)ᵀW(DPhi) = diag(lam)
     disc = request.getfixturevalue(disc_name)
     phi, lam = _b_search_space(disc)
     w = disc.quad_weights
@@ -117,65 +125,98 @@ def _b_starts(disc, phi, rng, count=4):
     return np.array(rows)
 
 
+def _reference_ratio(disc, u):
+    # (||u||_{2*}^2 - S_d^2 ||grad u||^2) / ||u||^2 by the discretization's own quadrature
+    d = disc.model.dim
+    f = DiscreteFunction(disc, u)
+    sd2 = cst.euclidean_sobolev_constant(d) ** 2
+    top = lp_norm(disc, f, fn.sobolev_conjugate(d)) ** 2 - sd2 * gradient_norm_sq(disc, f)
+    return top / inner(disc, f, f)
+
+
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_b_ratio_gradient_matches_finite_difference(disc_name, request, rng):
     disc = request.getfixturevalue(disc_name)
-    phi, lam = _b_search_space(disc)
-    k = phi.shape[1]
+    basis = _b_basis(disc, _b_search_space(disc)[0])
+    k = basis[0].shape[1]
     C = np.eye(k)[0] + 0.2 * rng.standard_normal((3, k))
-    ratio, grad = cst._b_ratio_and_grad(C, disc, phi, lam)
+    ratio, grad = cst._b_ratio_and_grad(C, disc, basis)
     assert ratio.shape == (3,) and grad.shape == (3, k)
     h = 1e-5
     fd = np.array([
-        (cst._b_ratio_and_grad(C + h * e, disc, phi, lam)[0]
-         - cst._b_ratio_and_grad(C - h * e, disc, phi, lam)[0]) / (2.0 * h)
+        (cst._b_ratio_and_grad(C + h * e, disc, basis)[0]
+         - cst._b_ratio_and_grad(C - h * e, disc, basis)[0]) / (2.0 * h)
         for e in np.eye(k)
     ]).T
     for c, r, g, f in zip(C, ratio, grad, fd):
-        # the closed-form ratio is the reference quotient at the same u
-        assert r == pytest.approx(cst._b_objective(disc, phi, c), rel=1e-12, abs=0.0)
+        assert r == pytest.approx(_reference_ratio(disc, basis[0] @ c), rel=1e-12, abs=0.0)
         assert np.max(np.abs(g - f)) <= 1e-7 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_b_ratio_follows_a_change_of_basis(disc_name, request, rng):
+    # on Phi T the ratio at c is Phi's at Tc and the gradient is Tᵀ times Phi's: the Gram
+    # and stiffness matrices carry the basis, which need not be orthonormal
+    disc = request.getfixturevalue(disc_name)
+    phi = _b_search_space(disc)[0]
+    k = phi.shape[1]
+    T = np.eye(k) + 0.1 * rng.standard_normal((k, k))
+    assert np.linalg.cond(T) < 10.0
+    C = _b_starts(disc, phi, rng)
+    ratio, grad = cst._b_ratio_and_grad(C, disc, _b_basis(disc, phi @ T))
+    ref, ref_grad = cst._b_ratio_and_grad(C @ T.T, disc, _b_basis(disc, phi))
+    assert np.max(np.abs(ratio - ref) / np.abs(ref)) <= 1e-12
+    assert np.max(np.abs(grad - ref_grad @ T)) <= 1e-12 * np.max(np.abs(ref_grad @ T))
 
 
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_b_ratio_stack_matches_one_row_calls(disc_name, request, rng):
     disc = request.getfixturevalue(disc_name)
-    phi, lam = _b_search_space(disc)
-    C = _b_starts(disc, phi, rng)
-    ratio, grad = cst._b_ratio_and_grad(C, disc, phi, lam)
+    basis = _b_basis(disc, _b_search_space(disc)[0])
+    C = _b_starts(disc, basis[0], rng)
+    ratio, grad = cst._b_ratio_and_grad(C, disc, basis)
     for c, r, g in zip(C, ratio, grad):
-        r1, g1 = cst._b_ratio_and_grad(c, disc, phi, lam)
+        r1, g1 = cst._b_ratio_and_grad(c, disc, basis)
         assert isinstance(r1, float) and g1.shape == c.shape
         assert abs(r - r1) <= 1e-14 * abs(r1)
         assert np.max(np.abs(g - g1)) <= 1e-14 * np.max(np.abs(g1))
 
 
 def _ascent(disc):
-    phi, lam = _b_search_space(disc)
-    return phi, lambda C: cst._b_ratio_and_grad(C, disc, phi, lam)
+    basis = _b_basis(disc, _b_search_space(disc)[0])
+    return basis, lambda C: cst._b_ratio_and_grad(C, disc, basis)
 
 
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_ascend_never_ends_a_row_below_its_start(disc_name, request, rng):
     disc = request.getfixturevalue(disc_name)
-    phi, ratio_and_grad = _ascent(disc)
-    C0 = _b_starts(disc, phi, rng)
+    basis, ratio_and_grad = _ascent(disc)
+    C0 = _b_starts(disc, basis[0], rng)
     ends = cst._ascend(ratio_and_grad, C0)
     assert np.all(ratio_and_grad(ends)[0] >= ratio_and_grad(C0)[0])
-    # the certified value differs from the ascended closed form by rounding: a step that
-    # leaves the one unchanged can lower the other by two ulps (a bubble start on S^3 does)
-    starts = np.array([cst._b_objective(disc, phi, c) for c in C0])
-    gains = np.array([cst._b_objective(disc, phi, c) for c in ends]) - starts
-    assert np.all(gains >= -4.0 * np.finfo(float).eps * np.abs(starts))
+    # the certified value is the ascended ratio, so it never falls either, not by an ulp
+    gains = np.array([cst._b_objective(disc, basis, c1) - cst._b_objective(disc, basis, c0)
+                      for c0, c1 in zip(C0, ends)])
+    assert np.all(gains >= 0.0)
     assert np.max(gains) > 0.1
+
+
+def test_b_objective_is_the_ascended_ratio_at_every_end():
+    # product d = 4, n = 256, where the eigenbasis' stiffness is diagonal only to 8.7e-14 lam_11
+    disc = build(make_product(4), 256)
+    basis, ratio_and_grad = _ascent(disc)
+    C0 = _b_starts(disc, basis[0], np.random.Generator(np.random.Philox(3)))
+    ends = cst._ascend(ratio_and_grad, C0)
+    for c, r in zip(ends, ratio_and_grad(ends)[0]):
+        assert cst._b_objective(disc, basis, c) == r
 
 
 @pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
 def test_ascend_rows_are_independent_of_the_stack(disc_name, request, rng):
     # bit for bit: every sum is np.add.reduce along a row, never a BLAS product
     disc = request.getfixturevalue(disc_name)
-    phi, ratio_and_grad = _ascent(disc)
-    C0 = _b_starts(disc, phi, rng)
+    basis, ratio_and_grad = _ascent(disc)
+    C0 = _b_starts(disc, basis[0], rng)
     ends = cst._ascend(ratio_and_grad, C0)
     for i in range(len(C0)):
         assert np.array_equal(cst._ascend(ratio_and_grad, C0[i : i + 1])[0], ends[i])
@@ -183,9 +224,9 @@ def test_ascend_rows_are_independent_of_the_stack(disc_name, request, rng):
 
 
 def test_ascend_zero_and_nan_rows_leave_without_touching_the_others(sphere3_disc, rng):
-    phi, ratio_and_grad = _ascent(sphere3_disc)
-    C0 = _b_starts(sphere3_disc, phi, rng)
-    k = phi.shape[1]
+    basis, ratio_and_grad = _ascent(sphere3_disc)
+    C0 = _b_starts(sphere3_disc, basis[0], rng)
+    k = basis[0].shape[1]
     mixed = np.vstack([C0[:2], np.zeros(k), C0[2:5], np.full(k, np.nan), C0[5:]])
     ends = cst._ascend(ratio_and_grad, mixed)
     assert np.array_equal(ends[2], np.zeros(k))
@@ -194,12 +235,12 @@ def test_ascend_zero_and_nan_rows_leave_without_touching_the_others(sphere3_disc
 
 
 def test_b_objective_is_scale_free(sphere3_disc, rng):
-    phi, _ = _b_search_space(sphere3_disc)
-    c = np.eye(phi.shape[1])[0] + 0.2 * rng.standard_normal(phi.shape[1])
-    ref = cst._b_objective(sphere3_disc, phi, c)
+    basis = _b_basis(sphere3_disc, _b_search_space(sphere3_disc)[0])
+    c = np.eye(basis[0].shape[1])[0] + 0.2 * rng.standard_normal(basis[0].shape[1])
+    ref = cst._b_objective(sphere3_disc, basis, c)
     for scale in (1e-12, 1e-8, 1.0, 1e8):
-        assert cst._b_objective(sphere3_disc, phi, scale * c) == pytest.approx(ref, rel=1e-14)
-    assert cst._b_objective(sphere3_disc, phi, np.zeros_like(c)) == -math.inf
+        assert cst._b_objective(sphere3_disc, basis, scale * c) == pytest.approx(ref, rel=1e-14)
+    assert cst._b_objective(sphere3_disc, basis, np.zeros_like(c)) == -math.inf
 
 
 def test_estimate_b_opt_product_matches_nelder_mead_value(product4, product4_disc):
@@ -220,8 +261,9 @@ def test_estimate_b_opt_certifies_every_start_and_end(monkeypatch, sphere3, sphe
     monkeypatch.setattr(cst, "_b_objective", counting)
     budget = 2
     cst.estimate_b_opt(sphere3, sphere3_disc, budget=budget, seed=0)
-    # constant, four perturbations, three bubbles, `budget` random starts
-    assert len(calls) >= 2 * (1 + 4 + 3 + budget)
+    # one per end, an end never being below its start: constant, four perturbations,
+    # three bubbles, `budget` random starts
+    assert len(calls) == 1 + 4 + 3 + budget
 
 
 def test_constants_report_sphere(sphere3_disc):
