@@ -1,9 +1,10 @@
 """Constrained minimization of the Sobolev quotient and critical-point tools.
 
-Minimization runs preconditioned projected-gradient descent on the unit
-L^q sphere (iterates reflected into the nonnegative cone by absolute
-value, which never increases the quotient; a multistart's starts in lockstep),
-then a Newton polish of each result in the bordered stationarity system
+Minimization runs preconditioned projected-gradient descent on the unit L^q
+sphere, a multistart's starts in lockstep.  Its step 1 is the nonlinear inverse
+iteration u <- M^{-1}|u|^{q-2}u / ||.||_q, M = 2A(-Delta) + 2B, and iterates are
+reflected into the nonnegative cone by |.|; neither raises the quotient.  Then a
+Newton polish of each result runs in the bordered stationarity system
 
     2A(-Delta u) + 2B u - theta |u|^{q-2} u = 0,     int |u|^q dVol = 1.
 
@@ -30,15 +31,15 @@ from .functionals import QuotientSpec
 
 KERNEL_THRESHOLD = 1e-6
 NEWTON_MAX = 60
-# minimize: projected-gradient iterations, the gradient residual at which the
-# Newton polish takes over, its Newton steps, the residual that counts as
-# converged, the tangent eigenpairs reported, and the stall test (see _polish).
+# minimize: projected-gradient rounds, the gradient residual at which the Newton
+# polish takes over, its Newton steps, the residual that counts as converged, the
+# tangent eigenpairs reported, and the plain steps before a kernel step (_polish).
 MAX_ITER = 100
 SWITCH_TOL = 1e-4
 POLISH_NEWTON_MAX = 40
 GRAD_TOL = 1e-8
 SPECTRUM_SIZE = 8
-STALL_STEPS = 2
+STALL_STEPS = 3
 KERNEL_GAP = 1e-2
 KERNEL_STEPS = 2
 # Newton stops once its residual is below FLOOR_FACTOR * eps * ||terms||_W,
@@ -192,8 +193,8 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
 def _polish(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
     """Bordered Newton (l = 0) from (u, theta), with kernel steps where it stalls.
 
-    Near a quartic minimum Newton creeps along the Hessian kernel.  After STALL_STEPS plain
-    steps short of the floor, K spans the tangent eigenfunctions with eigenvalues below
+    Near a quartic minimum Newton creeps along the Hessian kernel.  After three plain steps
+    (STALL_STEPS) short of the floor, K spans the tangent eigenfunctions with eigenvalues below
     KERNEL_GAP times the largest of the bottom spectrum; the bordered system at kernel
     coordinates c gives mu(c), homogeneous of degree 3 in c - c*, so by Euler's identity
     c - 3 M^{-1} mu, M = dmu/dc, lands on c*.  Otherwise plain Newton continues.
@@ -231,8 +232,10 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
     """Minimize from each start, polish each result and return the best (_best), with spectrum.
 
     The projected-gradient descent runs the starts in lockstep, as rows of one stack, on one
-    preconditioner factorization.  Each row has its own step and leaves once its gradient
-    residual is below SWITCH_TOL, after MAX_ITER rounds, or when 40 halvings find no decrease.
+    preconditioner factorization.  Each round a row tries u + s (kappa M^{-1} u^{q-1} - u),
+    kappa = <u, M u>, at its own step s (step 1: the inverse iterate), then sets s to
+    min(1.5 s, 4) if Q did not rise, or else to 1.  It leaves once its gradient residual is
+    below SWITCH_TOL, after MAX_ITER rounds, or when step 1 is rejected (only by rounding).
     """
     disc, q = spec.disc, spec.q
     inits = [fn.normalize(DiscreteFunction(disc, np.abs(s)), q) for s in starts]
@@ -242,51 +245,43 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
     # Summed by np.add.reduce (as np.sum does) in the order of gradient and normalize, roots
     # and squares taken as scalars row by row: one row's iterates are theirs bit for bit.
     qw, D, total = disc.quad_weights, disc.diff_matrix, np.add.reduce
-    step, iterations, live = [1.0] * len(U), np.zeros(len(U), dtype=int), np.arange(len(U))
+    step, iterations, live = np.ones(len(U)), np.zeros(len(U), dtype=int), np.arange(len(U))
     lu = None  # factored in the first round with a live row: starts at a minimum skip it
     for _ in range(MAX_ITER):
         V = U[live]
-        F = fn.euler_lagrange(spec, V, 0.0)
-        G = F - total(qw * V * F, axis=1)[:, None] * fn.power_qm1(V, q)
+        F, f = fn.euler_lagrange(spec, V, 0.0), fn.power_qm1(V, q)
+        kappa = total(qw * V * F, axis=1)[:, None]
+        G = F - kappa * f
         with np.errstate(over="ignore"):  # an overflow is reported just below
             res = [math.sqrt(s) for s in total(qw * G * G, axis=1).tolist()]
         if not all(map(math.isfinite, res)):
             raise ValueError("non-finite gradient in projected-gradient descent")
         if min(res, default=0.0) < SWITCH_TOL:  # these rows leave; live keeps the others
             moving = [r >= SWITCH_TOL for r in res]
-            live, V, G = live[moving], V[moving], G[moving]
+            live, V, f, kappa = live[moving], V[moving], f[moving], kappa[moving]
             if not live.size:
                 break
         iterations[live] += 1
         if lu is None:  # W^{1,2}-type preconditioner: the Jacobian at theta = 0, free of u
             lu, piv = lu_factor(fn.euler_lagrange_jacobian(spec, U[0], 0.0))
             (getrs,) = get_lapack_funcs(("getrs",), (lu,))
-        P, info = getrs(lu, piv, G.T)
+        Y, info = getrs(lu, piv, f.T)
         if info:
             raise ValueError(f"getrs failed with info {info}")
-        rows, P = live.tolist(), P.T  # rows: those still searching; V and P hold theirs
-        for _ in range(40):
-            T = np.abs(V - np.array([step[i] for i in rows])[:, None] * P)
-            tried = [j for j, nz in enumerate(T.any(axis=1).tolist()) if nz]  # all zero: halve
-            T = T[tried] if len(tried) < len(rows) else T
-            T /= np.array([s ** (1.0 / q) for s in total(qw * T**q, axis=1).tolist()])[:, None]
-            num, norm = fn.quotient_parts(spec, T, T @ D.T)
-            failed = [j for j in range(len(rows)) if j not in tried]
-            for j, t, num_j, norm_j in zip(tried, T, num.tolist(), norm.tolist()):
-                if not abs(norm_j - 1.0) <= fn.NORMALIZATION_TOL:
-                    raise ValueError(f"trial is not L^q-normalized: ||u||_q = {norm_j}")
-                i, trial_q = rows[j], num_j / norm_j**2
-                if trial_q <= qvals[i] + 1e-14:
-                    U[i], qvals[i], step[i] = t, trial_q, min(step[i] * 1.5, 4.0)
-                else:
-                    failed.append(j)
-            for j in failed:
-                step[rows[j]] *= 0.5
-            if not failed:
-                break
-            V, P, rows = V[failed], P[failed], [rows[j] for j in failed]
-        else:  # no decrease in 40 halvings: these rows leave
-            live = np.setdiff1d(live, rows)
+        T = np.abs(V + step[live][:, None] * (kappa * Y.T - V))
+        T /= np.array([s ** (1.0 / q) for s in total(qw * T**q, axis=1).tolist()])[:, None]
+        num, norm = fn.quotient_parts(spec, T, T @ D.T)
+        keep = []
+        for i, t, num_i, norm_i in zip(live.tolist(), T, num.tolist(), norm.tolist()):
+            if not abs(norm_i - 1.0) <= fn.NORMALIZATION_TOL:
+                raise ValueError(f"trial is not L^q-normalized: ||u||_q = {norm_i}")
+            trial_q = num_i / norm_i**2
+            accepted = trial_q <= qvals[i] + 1e-14
+            if accepted:
+                U[i], qvals[i] = t, trial_q
+            keep.append(accepted or step[i] > 1.0)  # a rejected step 1: the row leaves
+            step[i] = min(step[i] * 1.5, 4.0) if accepted else 1.0
+        live = live[keep]
     del lu  # n x n: freed before the polish and the spectrum build theirs
     results = []
     for u, qval, its in zip(U, qvals, iterations.tolist()):

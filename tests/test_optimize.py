@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.linalg import lu_factor, lu_solve
 
 from sobolev_lab import constants as cst
@@ -156,6 +158,9 @@ def test_minimize_rejects_zero_init(subcritical_spec):
 def _reference_minimize(spec, init):
     """minimize's projected-gradient loop on DiscreteFunction objects, then its polish (_polish).
 
+    One trial per round, along the inverse iterate kappa M^{-1} u^{q-1}: a rejected step
+    above 1 falls back to 1 for the next round, and a rejected step 1 ends the descent.
+
     Returns (u, value, grad_residual, iterations, converged).
     """
     disc = spec.disc
@@ -169,22 +174,17 @@ def _reference_minimize(spec, init):
         if math.sqrt(inner(disc, g, g)) < opt.SWITCH_TOL:
             break
         iterations += 1
-        p = lu_solve(M_fact, g.values)
-        accepted = False
-        for _ in range(40):
-            trial = np.abs(u.values - step * p)
-            if not np.any(trial):
-                step *= 0.5
-                continue
-            trial_u = fn.normalize(DiscreteFunction(disc, trial), spec.q)
-            trial_q = fn.quotient(spec, trial_u)
-            if trial_q <= qval + 1e-14:
-                u, qval = trial_u, trial_q
-                accepted = True
-                step = min(step * 1.5, 4.0)
-                break
-            step *= 0.5
-        if not accepted:
+        F = fn.euler_lagrange(spec, u.values, 0.0)
+        kappa = float(np.sum(disc.quad_weights * u.values * F))
+        y = lu_solve(M_fact, fn.power_qm1(u.values, spec.q))
+        trial = np.abs(u.values + step * (kappa * y - u.values))
+        trial_u = fn.normalize(DiscreteFunction(disc, trial), spec.q)
+        trial_q = fn.quotient(spec, trial_u)
+        if trial_q <= qval + 1e-14:
+            u, qval, step = trial_u, trial_q, min(step * 1.5, 4.0)
+        elif step > 1.0:
+            step = 1.0
+        else:
             break
     polished = opt._polish(spec, u.values, 2.0 * qval)
     with warnings.catch_warnings():
@@ -626,8 +626,8 @@ def test_lockstep_rows_match_single_starts(monkeypatch):
 
 
 def test_lockstep_rows_leave_alone(monkeypatch):
-    # the constant leaves at iteration 0 and the peaked b = 0.9 bubble when its first line
-    # search fails; the other rows descend as they do without them
+    # the constant leaves at iteration 0 and the peaked b = 0.9 bubble when its first trial,
+    # at step 1, raises Q; the other rows descend as they do without them
     spec = _sphere_spec(3, 4.0, a_factor=1.5)
     starts = _lockstep_starts(spec.disc)
     want = _pooled(monkeypatch, spec, starts[1:-1])
@@ -649,38 +649,68 @@ def test_lockstep_rows_leave_alone(monkeypatch):
     assert opt.minimize(spec, DiscreteFunction(spec.disc, starts[-1])).iterations == 1
 
 
-def test_lockstep_all_zero_trial_halves_the_step(monkeypatch):
-    # a first direction equal to the iterate makes the trial at step 1 all zero: it is not
-    # evaluated, and the next trial, at step 1/2, is the iterate again
+def _inverse_iterate(spec, u):
+    """kappa M^{-1} u^{q-1}, M = 2A(-Delta) + 2B and kappa = <u, M u>: the descent's step 1."""
+    kappa = float(np.sum(spec.disc.quad_weights * u * fn.euler_lagrange(spec, u, 0.0)))
+    M = lu_factor(fn.euler_lagrange_jacobian(spec, u, 0.0))
+    return kappa * lu_solve(M, fn.power_qm1(u, spec.q))
+
+
+def test_a_rejected_step_falls_back_to_the_inverse_iterate(monkeypatch):
+    # the first trial (step 1) is accepted and the second (step 1.5) is rejected: the row keeps
+    # its iterate, and the next round tries step 1 from it, the inverse iterate
     spec = _sphere_spec(3, 4.0, a_factor=1.5)
-    start = 1.0 + 0.3 * _first_mode(spec.disc)
-    u0 = fn.normalize(DiscreteFunction(spec.disc, start), spec.q).values
-    real_lapack, real_parts = opt.get_lapack_funcs, fn.quotient_parts
-    directions, trials = [], []
-
-    def lapack(names, arrays):
-        (getrs,) = real_lapack(names, arrays)
-
-        def first_along_the_iterate(lu, piv, G):
-            P, info = getrs(lu, piv, G)
-            if not directions:
-                P[:, 0] = u0
-            directions.append(P)
-            return P, info
-
-        return (first_along_the_iterate,)
+    real = fn.quotient_parts
+    trials = []
 
     def parts(spec, U, DU):
+        num, norm = real(spec, U, DU)
         if U.ndim == 2:
-            trials.append(U.copy())
-        return real_parts(spec, U, DU)
+            trials.append(U[0].copy())
+            if len(trials) == 2:
+                num = np.full_like(num, np.inf)
+        return num, norm
 
-    monkeypatch.setattr(opt, "get_lapack_funcs", lapack)
     monkeypatch.setattr(fn, "quotient_parts", parts)
-    cp = opt.minimize(spec, DiscreteFunction(spec.disc, start))
-    assert [len(T) for T in trials[:2]] == [0, 1]
-    assert np.allclose(trials[1][0], u0, rtol=1e-14, atol=0.0)
-    assert cp.converged and cp.iterations > 1
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, 1.0 + 0.3 * _first_mode(spec.disc)))
+    want = fn.normalize(DiscreteFunction(spec.disc, _inverse_iterate(spec, trials[0])), spec.q)
+    assert np.allclose(trials[2], want.values, rtol=1e-13, atol=0.0)
+    # one trial per round, the rejected one included
+    assert cp.iterations == len(trials) > 3 and cp.converged
+
+
+INVERSE_ITERATION_CASES = [("sphere", 3, 4.0), ("sphere", 8, 2.5), ("product", 4, None)]
+
+
+@pytest.fixture(scope="module")
+def low_mode_specs():
+    """Each case's spec at n = 64 and its Laplace modes 1..5, scaled to max |phi| = 1."""
+    specs = {}
+    for case in INVERSE_ITERATION_CASES:
+        spec = _degenerate_spec(*case, 64)
+        modes = laplace_eigenpairs(spec.disc, 6).eigenfunctions[1:]
+        phis = np.column_stack([f.values for f in modes])
+        specs[case] = spec, phis / np.abs(phis).max(axis=0)
+    return specs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=hst.sampled_from(INVERSE_ITERATION_CASES),
+    a_factor=hst.floats(min_value=0.5, max_value=3.0),
+    coeffs=hst.lists(hst.floats(min_value=-0.19, max_value=0.19), min_size=5, max_size=5),
+)
+def test_inverse_iterate_never_raises_the_quotient(low_mode_specs, case, a_factor, coeffs):
+    # with ||u||_q = 1, f = u^{q-1} and v = M^{-1} f: Cauchy-Schwarz in the M pairing and
+    # Hoelder give Q(v) <= Q(u), at every A and B > 0, so the descent's step 1 is never rejected
+    # but for rounding.  u = 1 + sum c_k phi_k is positive, as sum |c_k| < 1.
+    spec, phis = low_mode_specs[case]
+    spec = dataclasses.replace(spec, A=a_factor * spec.A)
+    u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + phis @ np.array(coeffs)), spec.q)
+    v = _inverse_iterate(spec, u.values)
+    assert np.min(v) > 0.0  # so the descent's absolute value leaves it as it is
+    bound = fn.quotient(spec, u) * (1.0 + 8.0 * np.finfo(float).eps)
+    assert fn.quotient(spec, DiscreteFunction(spec.disc, v)) <= bound
 
 
 # multistart_minimize(spec, 7, extra_starts=4) with a descent per start: the winner's kernel
@@ -702,7 +732,8 @@ START_SCAN = {
 
 
 def test_start_scan(monkeypatch):
-    # 180 starts, all converged; only rows at A_opt take kernel steps
+    # 180 starts, all converged, in at most 6,500 descent rounds in all; only rows at A_opt
+    # take kernel steps
     pools = []
     real = opt._best
     monkeypatch.setattr(opt, "_best", lambda results: pools.append(results) or real(results))
@@ -718,3 +749,4 @@ def test_start_scan(monkeypatch):
                 assert not any(l for l, _, _ in calls[before:]), (model, d, q, a, n)
     assert sum(len(pool) for pool in pools) == 180
     assert sum(cp.converged for pool in pools for cp in pool) == 180
+    assert sum(cp.iterations for pool in pools for cp in pool) <= 6500
