@@ -188,18 +188,18 @@ def laplace_eigenpairs(disc: Discretization, k: int) -> SpectralData:
     """k smallest eigenpairs of -Delta, quadrature-orthonormal eigenfunctions."""
     if not 1 <= k <= disc.n:
         raise ValueError(f"k must be in [1, {disc.n}], got {k}")
-    sw = np.sqrt(disc.quad_weights)
+    sw, L = np.sqrt(disc.quad_weights), disc.laplace_matrix
     R, j = disc.mirror, np.arange(disc.n)
     first = j[j < R]
     halves = []
     # F^T S F for the frames F of the even half, e_j (R j = j) and (e_j + e_Rj)/sqrt(2),
-    # and of the odd half, (e_j - e_Rj)/sqrt(2), S the sqrt(W)-frame matrix
+    # and of the odd half, (e_j - e_Rj)/sqrt(2), S = sqrt(W) L / sqrt(W) the sqrt(W)-frame matrix
     for rows, sign in ((np.concatenate([j[j == R], first]), 1.0), (first, -1.0)):
-        mates, cols = R[rows], np.arange(len(rows))
-        S = (sw[rows, None] * disc.laplace_matrix[rows]) / sw[None, :]
+        mates, cols, sr = R[rows], np.arange(len(rows)), sw[rows, None]
         # a fixed node is its own mate, so its weight 1/2 is counted twice
         w = np.where(rows == mates, 0.5, math.sqrt(0.5))
-        block = 2.0 * np.outer(w, w) * (S[:, rows] + sign * S[:, mates])
+        block = 2.0 * np.outer(w, w) * (sr * L[np.ix_(rows, rows)] / sw[rows]
+                                        + sign * (sr * L[np.ix_(rows, mates)] / sw[mates]))
         frame = np.zeros((disc.n, len(rows)))
         frame[rows, cols] = w
         frame[mates, cols] += sign * w

@@ -168,7 +168,7 @@ def project_tangent(
 def euler_lagrange(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
     """Euler-Lagrange field F = 2A(-Delta u) + 2B u - theta |u|^{q-2} u, of u or of each row."""
     F = 2.0 * spec.A * (u @ spec.disc.laplace_matrix.T) + 2.0 * spec.B * u  # L @ u for one u
-    if theta:
+    if isinstance(theta, np.ndarray) or theta:  # an array: the theta of each row
         F = F - theta * power_qm1(u, spec.q)
     return F
 

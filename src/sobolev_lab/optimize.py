@@ -127,51 +127,48 @@ def _bordered_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.nd
     return J
 
 
+def _bordered_residual(spec: QuotientSpec, x: np.ndarray, K: np.ndarray, target: np.ndarray):
+    """Residual of the bordered system of _bordered_newton at x = (u, theta, mu), or at each row
+    of x, and its norm sqrt(||r_u||_W^2 + |r_border|^2)."""
+    qw, n = spec.disc.quad_weights, spec.disc.n
+    u, theta, mu = x[..., :n], x[..., n : n + 1], x[..., n + 1 :]
+    r = np.concatenate([  # (M @ x.T).T is M @ x, bit for bit, for one x
+        fn.euler_lagrange(spec, u, theta) - (K @ mu.T).T,
+        np.add.reduce(qw * np.abs(u) ** spec.q, axis=-1, keepdims=True) - 1.0,
+        ((K.T * qw[None, :]) @ u.T).T - target,
+    ], axis=-1)
+    border = r[..., n:]
+    return r, np.sqrt(r[..., :n] ** 2 @ qw + np.add.reduce(border * border, axis=-1))
+
+
+def _floor(spec: QuotientSpec, x: np.ndarray, abs_L: np.ndarray):
+    """FLOOR_FACTOR eps ||2A |L||u| + 2B |u| + |theta| |u|^{q-1}||_W at x or at each row of x:
+    the rounding floor of the first bordered equation, abs_L = |L|."""
+    n, au = spec.disc.n, np.abs(x[..., : spec.disc.n])
+    terms = (2.0 * spec.A * (abs_L @ au.T).T + 2.0 * spec.B * au
+             + np.abs(x[..., n : n + 1]) * au ** (spec.q - 1.0))
+    norm = np.sqrt(np.add.reduce(spec.disc.quad_weights * terms * terms, axis=-1))
+    return FLOOR_FACTOR * np.finfo(float).eps * norm
+
+
 def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndarray,
-                     target: np.ndarray, max_iter: int = NEWTON_MAX, chord=None):
-    """Damped Newton on the bordered system in (u, theta, mu):
+                     target: np.ndarray, max_iter: int = NEWTON_MAX, mu=None):
+    """Damped Newton on the bordered system in (u, theta, mu), from mu = 0 unless given:
 
         2A(-Delta u) + 2B u - theta |u|^{q-2} u - K mu = 0,
         int |u|^q dVol = 1,     K^T W u = target,
 
-    with K an n x l block (l = 0 for a plain polish).  Given `chord`, LU
-    factors of the Jacobian near the solution, it takes chord steps until one
-    fails to halve the residual norm, then Newton steps from the last iterate.
-    Each Newton step is halved until the residual norm drops; iteration stops
-    once the norm is below the rounding floor of the terms of the first
-    equation.  Returns the last u, theta and mu and whether it reached that floor.
+    with K an n x l block (l = 0 for a plain polish).  Each step is halved until the residual
+    norm drops; iteration stops once the norm is below the rounding floor of the terms of the
+    first equation (_floor).  Returns the last u, theta and mu and whether it reached that floor.
     """
-    disc = spec.disc
-    qw = disc.quad_weights
-    A, B, q = spec.A, spec.B, spec.q
-    abs_L = np.abs(disc.laplace_matrix)
-    n, l = disc.n, K.shape[1]
-    KW = K.T * qw[None, :]
-
-    def residual(x):
-        u, theta, mu = x[:n], x[n], x[n + 1 :]
-        r = np.concatenate([
-            fn.euler_lagrange(spec, u, theta) - K @ mu,
-            [float(np.sum(qw * np.abs(u) ** q)) - 1.0],
-            KW @ u - target,
-        ])
-        return r, math.sqrt(float(qw @ r[:n] ** 2 + r[n:] @ r[n:]))
-
-    x = np.concatenate([u, [theta], np.zeros(l)])
-    r, norm = residual(x)
+    n, abs_L = spec.disc.n, np.abs(spec.disc.laplace_matrix)
+    x = np.concatenate([u, [theta], np.zeros(K.shape[1]) if mu is None else mu])
+    r, norm = _bordered_residual(spec, x, K, target)
     for it in range(max_iter + 1):
-        au = np.abs(x[:n])
-        terms = 2.0 * A * (abs_L @ au) + 2.0 * B * au + abs(x[n]) * au ** (q - 1.0)
-        floor = FLOOR_FACTOR * np.finfo(float).eps * _l2_norm(spec, terms)
+        floor = _floor(spec, x, abs_L)
         if norm <= floor or it == max_iter:
             break
-        if chord is not None:
-            trial = x - lu_solve(chord, r, check_finite=False)
-            trial_r, trial_norm = residual(trial)
-            if trial_norm <= 0.5 * norm:
-                x, r, norm = trial, trial_r, trial_norm
-                continue
-            chord = None
         J = _bordered_jacobian(spec, x[:n], x[n], K)
         try:
             step = np.linalg.solve(J, r)
@@ -180,7 +177,7 @@ def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndar
         t = 1.0
         while True:
             trial = x - t * step
-            trial_r, trial_norm = residual(trial)
+            trial_r, trial_norm = _bordered_residual(spec, trial, K, target)
             if trial_norm < norm or t < MIN_DAMPING:
                 break
             t *= 0.5
@@ -332,23 +329,53 @@ def reduced_functional(
 
     Fixes the kernel component of u - v to `coords` and solves the bordered
     stationarity system for the orthogonal completion, so the gradient of the
-    quotient at the returned point lies in the kernel.  It takes chord steps on
-    the LU factors of the bordered Jacobian at v (nonsingular: the border
-    removes the kernel), made once and kept on v while the spec is the same.
+    quotient at the returned point lies in the kernel: the one-row case of
+    reduced_functional_stack.
     """
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
+    return reduced_functional_stack(spec, v, coords[None, :])[0]
+
+
+def reduced_functional_stack(spec: QuotientSpec, v: CriticalPoint, coords) -> list:
+    """The reduced functional (reduced_functional) at each row of a k x l stack of coordinates.
+
+    The rows take chord steps in lockstep on the LU factors of the bordered Jacobian at v
+    (nonsingular: the border removes the kernel), made once and kept on v while the spec is
+    the same.  A round makes one solve with a right-hand side per live row and one product
+    of the stack with L and with |L|.  A row leaves at its rounding floor (_floor), after
+    NEWTON_MAX rounds, or when its chord step fails to halve its residual norm: then damped
+    Newton (_bordered_newton) goes on from its last iterate for the rounds that are left.
+    Returns one ReducedFunctionalSample per row, its value NaN where the solve did not converge.
+    """
+    C = np.asarray(coords, dtype=float)
     l = len(v.kernel_basis)
     if l == 0:
         raise ValueError("critical point has trivial kernel; reduction is degenerate-free")
-    if coords.shape != (l,):
-        raise ValueError(f"expected {l} kernel coordinates, got {coords.shape}")
-    disc = spec.disc
+    if C.ndim != 2 or C.shape[1] != l:
+        raise ValueError(f"expected rows of {l} kernel coordinates, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("kernel coordinates must be finite")
+    disc, n, abs_L = spec.disc, spec.disc.n, np.abs(spec.disc.laplace_matrix)
     K = np.column_stack([f.values for f in v.kernel_basis])  # n x l
-    target = K.T @ (disc.quad_weights * v.u.values) + coords
+    targets = K.T @ (disc.quad_weights * v.u.values) + C
     if v._chord is None or v._chord[0] is not spec:
         v._chord = (spec, lu_factor(_bordered_jacobian(spec, v.u.values, 2.0 * v.value, K)))
-    u, _, _, converged = _bordered_newton(
-        spec, v.u.values + K @ coords, 2.0 * v.value, K, target, chord=v._chord[1]
-    )
-    value = fn.quotient(spec, DiscreteFunction(disc, u)) if converged else math.nan
-    return ReducedFunctionalSample(value=value, inner_converged=converged)
+    X = np.zeros((len(C), n + 1 + l))  # rows (u, theta, mu), from (v + K c, 2 Q(v), 0)
+    X[:, :n], X[:, n] = v.u.values + (K @ C.T).T, 2.0 * v.value
+    R, norms = _bordered_residual(spec, X, K, targets)
+    U, converged, live = X[:, :n].copy(), np.zeros(len(C), dtype=bool), np.arange(len(C))
+    for it in range(NEWTON_MAX + 1):
+        done = norms <= _floor(spec, X, abs_L)
+        U[live[done]], converged[live[done]] = X[done, :n], True
+        X, R, norms, live = X[~done], R[~done], norms[~done], live[~done]
+        if it == NEWTON_MAX or not live.size:
+            break
+        trial = X - lu_solve(v._chord[1], R.T, check_finite=False).T
+        trial_R, trial_norms = _bordered_residual(spec, trial, K, targets[live])
+        halved = trial_norms <= 0.5 * norms
+        for i, x in zip(live[~halved].tolist(), X[~halved]):
+            U[i], _, _, converged[i] = _bordered_newton(
+                spec, x[:n], x[n], K, targets[i], NEWTON_MAX - it, x[n + 1 :])
+        X, R, norms, live = trial[halved], trial_R[halved], trial_norms[halved], live[halved]
+    return [ReducedFunctionalSample(fn.quotient(spec, DiscreteFunction(disc, u)) if ok
+                                    else math.nan, bool(ok)) for u, ok in zip(U, converged)]

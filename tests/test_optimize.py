@@ -294,8 +294,18 @@ def test_reduced_functional_validates_coords(subcritical_spec):
     cp = opt.minimize(subcritical_spec, DiscreteFunction(
         subcritical_spec.disc, np.ones(subcritical_spec.disc.n)
     ))
-    with pytest.raises(ValueError):
-        opt.reduced_functional(subcritical_spec, cp, [0.1, 0.2])
+    for name, coords in [
+        ("reduced_functional", [0.1, 0.2]),
+        ("reduced_functional", [[0.1]]),
+        ("reduced_functional", [math.inf]),
+        ("reduced_functional", [math.nan]),
+        ("reduced_functional_stack", np.zeros((3, 2))),  # a column per kernel direction
+        ("reduced_functional_stack", np.zeros((2, 1, 1))),
+        ("reduced_functional_stack", np.zeros(1)),
+        ("reduced_functional_stack", [[0.1], [-math.inf]]),
+    ]:
+        with pytest.raises(ValueError):
+            getattr(opt, name)(subcritical_spec, cp, coords)
 
 
 def test_reduced_functional_requires_kernel(sphere3_disc):
@@ -471,6 +481,67 @@ def test_chord_falls_back_to_newton_far_from_the_point(monkeypatch):
         assert sample.value == pytest.approx(_reference_sample(spec, cp, [t]), abs=1e-10)
 
 
+def _kernel_rows(cp, ts):
+    coords = np.zeros((len(ts), cp.kernel_dim))
+    coords[:, 0] = ts
+    return coords
+
+
+def test_stack_matches_one_row_calls(degenerate_point_128):
+    spec, cp = degenerate_point_128
+    ts = [sign * t for t in st.LOJASIEWICZ_SAMPLING for sign in (1.0, -1.0)]
+    stack = opt.reduced_functional_stack(spec, cp, _kernel_rows(cp, ts))
+    rows = [opt.reduced_functional(spec, cp, _coords(cp, t)) for t in ts]
+    assert [s.inner_converged for s in stack] == [s.inner_converged for s in rows]
+    assert all(s.inner_converged for s in stack)
+    for s, r in zip(stack, rows):
+        assert abs(s.value - r.value) <= 1e-14
+
+
+def test_stack_sends_only_the_far_rows_to_newton(monkeypatch):
+    # the rows at +/-1.2 leave the chord stack for damped Newton, once each, and make every
+    # Jacobian; the rows at +/-0.02 end in chord steps
+    spec = _degenerate_spec("sphere", 3, 4.0, 128)
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, np.ones(128)))
+    opt.reduced_functional(spec, cp, [0.02])  # factors the chord Jacobian
+    ts = [0.02, 1.2, -0.02, -1.2]
+    jacobians = _counting(monkeypatch, "_bordered_jacobian")
+    fallbacks = []
+    real = opt._bordered_newton
+
+    def logged(spec, u, theta, K, target, *args):
+        before = len(jacobians)
+        out = real(spec, u, theta, K, target, *args)
+        fallbacks.append((float(target[0]), len(jacobians) - before))
+        return out
+
+    monkeypatch.setattr(opt, "_bordered_newton", logged)
+    samples = opt.reduced_functional_stack(spec, cp, _kernel_rows(cp, ts))
+    monkeypatch.undo()
+    base = float(cp.kernel_basis[0].values @ (spec.disc.quad_weights * cp.u.values))
+    assert [target - base for target, _ in fallbacks] == pytest.approx([1.2, -1.2])
+    assert all(made >= 1 for _, made in fallbacks)
+    assert sum(made for _, made in fallbacks) == len(jacobians)
+    for t, sample in zip(ts, samples):
+        assert sample.inner_converged
+        assert sample.value == pytest.approx(_reference_sample(spec, cp, [t]), abs=1e-10)
+
+
+def test_lojasiewicz_estimate_solves_once_per_round(degenerate_point_128, monkeypatch):
+    # the 20 samples share each chord round, so the estimate takes as many solves as the
+    # longest one-row call (11 on the sphere and 6 on the product, not 136 and 92)
+    spec, cp = degenerate_point_128
+    solves = _counting(monkeypatch, "lu_solve")
+    st.lojasiewicz_estimate(spec, cp)
+    stacked, rounds = len(solves), []
+    for t in st.LOJASIEWICZ_SAMPLING:
+        for sign in (1.0, -1.0):
+            solves.clear()
+            opt.reduced_functional(spec, cp, _coords(cp, sign * t))
+            rounds.append(len(solves))
+    assert stacked == max(rounds)
+
+
 def test_lojasiewicz_estimate_factors_once_per_point(degenerate_point_128, monkeypatch):
     spec, cp = degenerate_point_128
     cp = dataclasses.replace(cp)
@@ -535,8 +606,8 @@ def _newton_calls(monkeypatch):
     calls = []
     real = opt._bordered_newton
 
-    def logged(spec, u, theta, K, target, max_iter=opt.NEWTON_MAX, chord=None):
-        out = real(spec, u, theta, K, target, max_iter, chord)
+    def logged(spec, u, theta, K, target, max_iter=opt.NEWTON_MAX, mu=None):
+        out = real(spec, u, theta, K, target, max_iter, mu)
         calls.append((K.shape[1], max_iter, out[3]))
         return out
 

@@ -486,11 +486,11 @@ def test_lojasiewicz_estimate_fits_the_converged_samples_only(subcritical_spec, 
     # t > 0 only; an unconverged sample reads 1 above the critical value
     first = st.LOJASIEWICZ_SAMPLING[-converged]
 
-    def sample(spec, v, coords):
-        ok = bool(coords[0] >= first)
-        return opt.ReducedFunctionalSample(v.value + (coords[0] ** 4 if ok else 1.0), ok)
+    def samples(spec, v, coords):
+        return [opt.ReducedFunctionalSample(v.value + (c[0] ** 4 if c[0] >= first else 1.0),
+                                            bool(c[0] >= first)) for c in coords]
 
-    monkeypatch.setattr(st, "reduced_functional", sample)
+    monkeypatch.setattr(st, "reduced_functional_stack", samples)
     u = DiscreteFunction(subcritical_spec.disc, np.ones(subcritical_spec.disc.n))
     point = opt.CriticalPoint(u=u, value=1.0, grad_residual=0.0, converged=True, iterations=0,
                               kernel_dim=1)
