@@ -15,8 +15,9 @@ arithmetic, while in floating point W(-Delta) is symmetric by construction.
 Constants are projected out of both, Dt P and P^T W(-Delta) P, P = I - 1 w^T/Vol.
 The circle factor of the product model uses uniform nodes and Fourier
 differentiation; there -Delta f = -f''.  Both operators are built to commute
-bit for bit with the reflection t -> pi - t (s -> -s on the circle), so their
-eigen-solve splits into an even and an odd half (Boyd 2001, ch. 8).
+bit for bit with the reflection t -> pi - t (s -> -s on the circle), so the
+sphere's eigen-solve splits into an even and an odd half (Boyd 2001, ch. 8);
+the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -162,32 +163,31 @@ def gradient_norm_sq(disc: Discretization, f: DiscreteFunction) -> float:
     return float(np.sum(disc.quad_weights * df * df))
 
 
+def _spectral_data(disc: Discretization, values, phis, residuals) -> SpectralData:
+    """Eigenpairs of phis' columns, each signed so its first entry with |phi| >= max/2 is > 0."""
+    mags = np.abs(phis)
+    first = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
+    phis *= np.sign(phis[first, np.arange(phis.shape[1])])
+    return SpectralData(values, [DiscreteFunction(disc, phi) for phi in phis.T.copy()], residuals)
+
+
 def frame_eigenpairs(
     disc: Discretization, S: np.ndarray, k: int, frame: np.ndarray
 ) -> SpectralData:
     """Bottom-k eigenpairs of S, a sqrt(W)-frame operator on the orthonormal columns of frame.
 
-    An eigenvector c maps to the function (frame @ c) / sqrt(W), which is
-    quadrature-orthonormal; it is signed so that its first entry with
-    |phi| >= max|phi| / 2 is positive.  The residual ||S c - lambda c||_2 is
-    the W-norm of the residual of the eigen-equation of the operator.
+    An eigenvector c maps to the function (frame @ c) / sqrt(W), quadrature-orthonormal and
+    signed by _spectral_data; ||S c - lambda c||_2 is the W-norm of its eigen-equation's residual.
     """
     if not 1 <= k <= len(S):
         raise ValueError(f"k must be in [1, {len(S)}], got {k}")
     evals, vecs = eigh(S, subset_by_index=[0, k - 1])
-    residuals = np.linalg.norm(S @ vecs - vecs * evals, axis=0)
     phis = (frame @ vecs) / np.sqrt(disc.quad_weights)[:, None]
-    mags = np.abs(phis)
-    first = np.argmax(mags >= 0.5 * mags.max(axis=0), axis=0)
-    phis *= np.sign(phis[first, np.arange(k)])
-    funcs = [DiscreteFunction(disc, phi) for phi in phis.T.copy()]
-    return SpectralData(evals, funcs, residuals)
+    return _spectral_data(disc, evals, phis, np.linalg.norm(S @ vecs - vecs * evals, axis=0))
 
 
-def laplace_eigenpairs(disc: Discretization, k: int) -> SpectralData:
-    """k smallest eigenpairs of -Delta, quadrature-orthonormal eigenfunctions."""
-    if not 1 <= k <= disc.n:
-        raise ValueError(f"k must be in [1, {disc.n}], got {k}")
+def _halves(disc: Discretization, k: int) -> SpectralData:
+    """The k smallest eigenpairs of the sphere's -Delta, solved on its even and odd halves."""
     sw, L = np.sqrt(disc.quad_weights), disc.laplace_matrix
     R, j = disc.mirror, np.arange(disc.n)
     first = j[j < R]
@@ -207,11 +207,34 @@ def laplace_eigenpairs(disc: Discretization, k: int) -> SpectralData:
     values = np.concatenate([h.eigenvalues for h in halves])
     order = np.argsort(values, kind="stable")[:k]
     funcs = halves[0].eigenfunctions + halves[1].eigenfunctions
-    sd = SpectralData(values[order], [funcs[i] for i in order],
-                      np.concatenate([h.residuals for h in halves])[order])
+    return SpectralData(values[order], [funcs[i] for i in order],
+                        np.concatenate([h.residuals for h in halves])[order])
+
+
+def _fourier_modes(disc: Discretization, k: int) -> SpectralData:
+    """The k smallest modes cos m = 0..n/2, then sin m = 1..n/2-1, stably sorted by the real DFT of
+    L's first column (cos first in each exact tie), each evaluated on 0..n/2 and reflected."""
+    n, h, L, sw = disc.n, disc.n // 2, disc.laplace_matrix, np.sqrt(disc.quad_weights)[:, None]
+    m = np.concatenate([np.arange(h + 1), np.arange(1, h)])
+    lam = np.fft.rfft(L[:, 0]).real[m]
+    order = np.argsort(lam, kind="stable")[:k]
+    lam, odd = lam[order], order > h
+    angles = (2.0 * math.pi / n) * (np.outer(np.arange(h + 1), m[order]) % n)
+    half = np.where(odd, np.sin(angles), np.cos(angles))
+    half[np.ix_([0, h], odd)] = 0.0
+    phis = np.concatenate([half, np.where(odd, -1.0, 1.0) * half[h - 1 : 0 : -1]])
+    phis /= np.linalg.norm(sw * phis, axis=0)
+    return _spectral_data(disc, lam, phis, np.linalg.norm(sw * (L @ phis - phis * lam), axis=0))
+
+
+def laplace_eigenpairs(disc: Discretization, k: int) -> SpectralData:
+    """k smallest eigenpairs of -Delta, quadrature-orthonormal eigenfunctions: on the sphere
+    from its even and odd halves, on the circle its Fourier modes, cos before sin."""
+    if not 1 <= k <= disc.n:
+        raise ValueError(f"k must be in [1, {disc.n}], got {k}")
+    sd = (_halves if disc.model.kind is ModelKind.SPHERE_RADIAL else _fourier_modes)(disc, k)
     scale = max(1.0, abs(sd.eigenvalues[-1]))
     if np.any(sd.residuals > 1e-8 * scale):
-        raise RuntimeError(
-            f"eigen-solve residuals too large: {sd.residuals.max():.3e} (scale {scale:.3e})"
-        )
+        raise RuntimeError(f"eigen-solve residuals too large: {sd.residuals.max():.3e} "
+                           f"(scale {scale:.3e})")
     return sd

@@ -345,7 +345,7 @@ def reduced_functional_stack(spec: QuotientSpec, v: CriticalPoint, coords) -> li
     of the stack with L and with |L|.  A row leaves at its rounding floor (_floor), after
     NEWTON_MAX rounds, or when its chord step fails to halve its residual norm: then damped
     Newton (_bordered_newton) goes on from its last iterate for the rounds that are left.
-    Returns one ReducedFunctionalSample per row, its value NaN where the solve did not converge.
+    Returns a ReducedFunctionalSample per row, NaN where unconverged (one quotient_parts call).
     """
     C = np.asarray(coords, dtype=float)
     l = len(v.kernel_basis)
@@ -377,5 +377,7 @@ def reduced_functional_stack(spec: QuotientSpec, v: CriticalPoint, coords) -> li
             U[i], _, _, converged[i] = _bordered_newton(
                 spec, x[:n], x[n], K, targets[i], NEWTON_MAX - it, x[n + 1 :])
         X, R, norms, live = trial[halved], trial_R[halved], trial_norms[halved], live[halved]
-    return [ReducedFunctionalSample(fn.quotient(spec, DiscreteFunction(disc, u)) if ok
-                                    else math.nan, bool(ok)) for u, ok in zip(U, converged)]
+    values, ok = np.full(len(C), math.nan), U[converged]
+    num, norms = fn.quotient_parts(spec, ok, ok @ disc.diff_matrix.T)
+    values[converged] = num / norms**2
+    return [ReducedFunctionalSample(float(x), bool(c)) for x, c in zip(values, converged)]

@@ -6,6 +6,10 @@ import pytest
 from scipy.linalg import eigh
 from scipy.special import roots_jacobi
 
+from sobolev_lab import constants as cst
+from sobolev_lab import discretization as dz
+from sobolev_lab import functionals as fn
+from sobolev_lab import stability as st
 from sobolev_lab.discretization import (
     MIN_NODES,
     DiscreteFunction,
@@ -182,7 +186,7 @@ def test_product_laplacian_is_exactly_symmetric(d, n):
     assert np.array_equal(R[R], np.arange(n))
 
 
-FOLD_CASES = [("sphere", 3, 65), ("sphere", 8, 64), ("product", 4, 64)]
+FOLD_CASES = [("sphere", 3, 65), ("sphere", 8, 64), ("product", 4, 64), ("product", 16, 256)]
 
 
 @pytest.mark.parametrize("model, d, n", FOLD_CASES)
@@ -216,6 +220,50 @@ def test_eigenfunctions_are_even_or_odd(model, d, n):
     R = disc.mirror
     for f in laplace_eigenpairs(disc, 12).eigenfunctions:
         assert np.array_equal(f.values[R], f.values) or np.array_equal(f.values[R], -f.values)
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+@pytest.mark.parametrize("n", [16, 64, 128, 256, 512, 1024])
+def test_product_pairs_put_the_even_mode_first(d, n):
+    # each cos/sin pair of equal eigenvalue is (even, odd) on every grid, so the ray
+    # from the constants and the multistart's 1 + 0.3 phi_1 start leave along cos
+    disc = build(make_product(d), n)
+    R = disc.mirror
+    sd = laplace_eigenpairs(disc, 15)
+    for i in range(1, 15, 2):
+        even, odd = sd.eigenfunctions[i].values, sd.eigenfunctions[i + 1].values
+        assert sd.eigenvalues[i] == sd.eigenvalues[i + 1]
+        assert np.array_equal(even[R], even) and np.array_equal(odd[R], -odd)
+    direction = st.ray_from_constants(cst.default_spec(disc, fn.sobolev_conjugate(d))).direction
+    v = direction.values
+    assert np.max(np.abs(v[R] - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_product_eigenpairs_make_no_dense_solve(monkeypatch, n):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigen-solve on the circle")
+
+    monkeypatch.setattr(dz, "eigh", no_eigh)
+    disc = build(make_product(4), n)
+    for k in (1, n):
+        sd = laplace_eigenpairs(disc, k)
+        assert len(sd.eigenfunctions) == k
+        assert sd.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(AssertionError, match="dense eigen-solve"):
+        laplace_eigenpairs(build(make_sphere(3), 16), 2)
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("n", [256, 512, 1024])
+def test_product_spectra_grid_is_accurate(d, n):
+    # the product half of the spectrum benchmark grid, k = 16, against (2 pi m / length)^2
+    disc = build(make_product(d), n)
+    sd = laplace_eigenpairs(disc, 16)
+    j = np.arange(16)
+    want = (2.0 * math.pi * np.ceil(j / 2.0) / disc.model.length) ** 2
+    assert np.max(np.abs(sd.eigenvalues - want) / np.maximum(want, want[1])) <= 1e-10
+    assert np.max(sd.residuals) <= 1e-8 * max(1.0, sd.eigenvalues[-1])
 
 
 def _log_scale_diff_matrix(x):
