@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -351,6 +352,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_REPRODUCE_FAIL
 
 
+@functools.cache  # nothing mutates the parser, and building it costs about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sobolev-lab",

@@ -14,10 +14,10 @@ is exact to degree 2n - 1, so this is the collocation matrix in exact
 arithmetic, while in floating point W(-Delta) is symmetric by construction.
 Constants are projected out of both, Dt P and P^T W(-Delta) P, P = I - 1 w^T/Vol.
 The circle factor of the product model uses uniform nodes and Fourier
-differentiation; there -Delta f = -f''.  Both operators are built to commute
-bit for bit with the reflection t -> pi - t (s -> -s on the circle), so the
-sphere's eigen-solve splits into an even and an odd half (Boyd 2001, ch. 8);
-the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
+differentiation; there -Delta f = -f''.  Both operators commute bit for bit with the
+reflection t -> pi - t (s -> -s on the circle) and Dt is exactly odd, so the sphere's Gram
+product and eigen-solve split into even and odd halves (Boyd 2001, ch. 8); the circle's
+circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -89,19 +89,37 @@ class SpectralData:
     residuals: np.ndarray
 
 
+def _fold_weights(qw: np.ndarray) -> np.ndarray:
+    """sqrt(W) on the nodes that stand for the reflection's halves: the top n // 2, each with its
+    mate n - 1 - j, and at odd n the middle node, its own mate, at half its weight."""
+    h = len(qw) // 2
+    return np.sqrt(np.append(qw[:h], 0.5 * qw[h : len(qw) - h]))
+
+
 def _weak_laplacian(Dt: np.ndarray, qw: np.ndarray) -> np.ndarray:
-    """W(-Delta) = Dt^T W Dt, exactly symmetric and exactly reflection-symmetric."""
-    G = np.sqrt(qw)[:, None] * Dt
-    K = G.T @ G  # exactly symmetric (numpy evaluates G^T G by syrk)
-    del G
-    # K <- PᵀKP with P = I - 1pᵀ, p = W/Vol, so constants are annihilated to rounding
-    p, r = qw / qw.sum(), K.sum(axis=1)
-    r -= 0.5 * r.sum() * p
-    K -= np.outer(r, p)
-    K -= np.outer(p, r)
-    K += K.T
-    K = np.add(K, K[::-1, ::-1])  # commutative sums: both symmetries stay exact
-    K *= 0.25
+    """W(-Delta) = Dt^T W Dt, exactly symmetric and exactly reflection-symmetric, from two half-size
+    Gram products: Dt is exactly odd, so it maps the even e_j + e_Rj to odd vectors and the odd
+    e_j - e_Rj to even ones, and each half's Gram product runs over the top nodes only."""
+    n, h, m = len(qw), len(qw) // 2, (len(qw) + 1) // 2
+    K = np.empty((n, n))  # before the halves: allocated after them, it raised a run's peak RSS
+    a = _fold_weights(0.5 * qw)  # the 1/2 of K = (Ke +- Ko) / 2 taken into the weights
+    Ae = a[:h, None] * (Dt[:h, :m] + Dt[:h, ::-1][:, :m])  # at odd n, 2 Dt e_mid last
+    Ke = Ae.T @ Ae  # exactly symmetric (numpy evaluates A^T A by syrk)
+    del Ae
+    # Ke <- P^T Ke P, P = I - u pe^T, u = (1, .., 1, 1/2) the constant's coordinates, pe = 2W/Vol,
+    # so constants are annihilated to rounding (the odd half has none); the sum keeps Ke symmetric
+    u, pe = np.where(np.arange(m) < h, 1.0, 0.5), qw[:m] * (2.0 / qw.sum())
+    r = Ke @ u
+    r -= 0.5 * (u @ r) * pe
+    Ke -= np.outer(r, pe) + np.outer(pe, r)
+    Ao = a[:, None] * (Dt[:m, :h] - Dt[:m, ::-1][:, :h])
+    Ko = Ao.T @ Ao
+    np.add(Ke[:h, :h], Ko, out=K[:h, :h])
+    np.subtract(Ke[:h, :h], Ko, out=K[:h, : -h - 1 : -1])  # K[i, Rj]
+    K[:h, h:m] = Ke[:h, h:]  # the middle node at odd n: even half only
+    K[h:m, :m] = Ke[h:]
+    K[h:m, m:] = Ke[h:, h - 1 :: -1]
+    K[m:] = K[h - 1 :: -1, ::-1]  # K[Ri, Rj] = K[i, j]
     return K
 
 
@@ -126,7 +144,8 @@ def build(model: ManifoldModel, n: int) -> Discretization:
         Dt *= -sin_t[:, None]
         Dt -= Dt[::-1, ::-1]  # exactly odd under the reflection
         Dt *= 0.5
-        Dt -= np.outer(Dt.sum(axis=1), qw / qw.sum())  # Dt 1 = 0 to rounding
+        s = Dt.sum(axis=1)
+        Dt -= np.outer(0.5 * (s - s[::-1]), qw / qw.sum())  # Dt 1 = 0 to rounding, still odd
         L = _weak_laplacian(Dt, qw)
         L /= qw[:, None]
         return Discretization(model, n, t, qw, Dt, L, np.arange(n)[::-1])
@@ -171,6 +190,12 @@ def _spectral_data(disc: Discretization, values, phis, residuals) -> SpectralDat
     return SpectralData(values, [DiscreteFunction(disc, phi) for phi in phis.T.copy()], residuals)
 
 
+def _bottom(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k smallest eigenvalues of symmetric S, their eigenvectors, and ||S c - lambda c||_2."""
+    evals, vecs = eigh(S, subset_by_index=[0, k - 1])
+    return evals, vecs, np.linalg.norm(S @ vecs - vecs * evals, axis=0)
+
+
 def frame_eigenpairs(
     disc: Discretization, S: np.ndarray, k: int, frame: np.ndarray
 ) -> SpectralData:
@@ -181,34 +206,27 @@ def frame_eigenpairs(
     """
     if not 1 <= k <= len(S):
         raise ValueError(f"k must be in [1, {len(S)}], got {k}")
-    evals, vecs = eigh(S, subset_by_index=[0, k - 1])
-    phis = (frame @ vecs) / np.sqrt(disc.quad_weights)[:, None]
-    return _spectral_data(disc, evals, phis, np.linalg.norm(S @ vecs - vecs * evals, axis=0))
+    evals, vecs, res = _bottom(S, k)
+    return _spectral_data(disc, evals, (frame @ vecs) / np.sqrt(disc.quad_weights)[:, None], res)
 
 
 def _halves(disc: Discretization, k: int) -> SpectralData:
     """The k smallest eigenpairs of the sphere's -Delta, solved on its even and odd halves."""
-    sw, L = np.sqrt(disc.quad_weights), disc.laplace_matrix
-    R, j = disc.mirror, np.arange(disc.n)
-    first = j[j < R]
-    halves = []
-    # F^T S F for the frames F of the even half, e_j (R j = j) and (e_j + e_Rj)/sqrt(2),
-    # and of the odd half, (e_j - e_Rj)/sqrt(2), S = sqrt(W) L / sqrt(W) the sqrt(W)-frame matrix
-    for rows, sign in ((np.concatenate([j[j == R], first]), 1.0), (first, -1.0)):
-        mates, cols, sr = R[rows], np.arange(len(rows)), sw[rows, None]
-        # a fixed node is its own mate, so its weight 1/2 is counted twice
-        w = np.where(rows == mates, 0.5, math.sqrt(0.5))
-        block = 2.0 * np.outer(w, w) * (sr * L[np.ix_(rows, rows)] / sw[rows]
-                                        + sign * (sr * L[np.ix_(rows, mates)] / sw[mates]))
-        frame = np.zeros((disc.n, len(rows)))
-        frame[rows, cols] = w
-        frame[mates, cols] += sign * w
-        halves.append(frame_eigenpairs(disc, block, min(k, len(rows)), frame))
-    values = np.concatenate([h.eigenvalues for h in halves])
+    n, h, L, qw = disc.n, disc.n // 2, disc.laplace_matrix, disc.quad_weights
+    a = _fold_weights(qw)
+    parts = []
+    # F^T S F, S = sqrt(W) L / sqrt(W), for the orthonormal frames F of the even half,
+    # (e_j + e_Rj)/sqrt(2) and e_mid, and of the odd half, (e_j - e_Rj)/sqrt(2), from slices of L
+    for sign, m in ((1.0, n - h), (-1.0, h)):
+        block = a[:m, None] * (L[:m, :m] + sign * L[:m, ::-1][:, :m]) * (a[:m] / qw[:m])
+        values, vecs, residuals = _bottom(block, min(k, m))
+        phis = np.zeros((n, len(values)))
+        phis[:m] = vecs * (math.sqrt(0.5) / a[:m, None])
+        phis[n - h :] = sign * phis[h - 1 :: -1]
+        parts.append((values, phis, residuals))
+    values, phis, residuals = (np.concatenate(x, axis=-1) for x in zip(*parts))
     order = np.argsort(values, kind="stable")[:k]
-    funcs = halves[0].eigenfunctions + halves[1].eigenfunctions
-    return SpectralData(values[order], [funcs[i] for i in order],
-                        np.concatenate([h.residuals for h in halves])[order])
+    return _spectral_data(disc, values[order], phis[:, order], residuals[order])
 
 
 def _fourier_modes(disc: Discretization, k: int) -> SpectralData:

@@ -1,11 +1,12 @@
 """Deficit/distance experiments along rays from extremal functions.
 
-The central objects are rays u_eps = base + eps * direction leaving a normalized
-extremal, the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family
-of extremals: the constants, or with them the one bubble family b in (-1, 1), whose nearest b
-is bracketed on a grid and solved by Chandrupatla's method (`_root`), distance at the root.
-A log-log fit of deficit against distance estimates the stability exponent: 2 for
-non-degenerate specs, 4 in the degenerate cases (sphere sub-critical, product critical).
+The central objects are rays u_eps = base + eps * direction leaving a normalized extremal,
+the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family of extremals:
+the constants, or with them the one bubble family b in (-1, 1), whose nearest b is bracketed
+on a grid and solved by Chandrupatla's method (`_root`), distance at the root.  Both families
+are reflection-invariant, so u and its mirror image get the same bits.  A log-log fit of deficit
+against distance estimates the stability exponent: 2 for non-degenerate specs, 4 in the
+degenerate cases (sphere sub-critical, product critical).
 """
 
 from __future__ import annotations
@@ -134,7 +135,11 @@ def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
     disc = u.disc
     if family == "bubbles_and_constants" and disc.model.kind is not ModelKind.SPHERE_RADIAL:
         raise ValueError("bubbles are defined on the sphere-radial model only")
-    w, D, vals = disc.quad_weights, disc.diff_matrix, u.values
+    # both families are reflection-invariant: of u and its mirror image, measure the one larger
+    # at the first node where they differ, so both get the same bits
+    w, D, vals, mirrored = disc.quad_weights, disc.diff_matrix, u.values, u.values[disc.mirror]
+    first = np.argmax(vals != mirrored)
+    vals = mirrored if mirrored[first] > vals[first] else vals
     uu = np.stack([vals, D @ vals])
     norm_u_sq = _w12_pair(w * uu, uu)
     # closed-form projection onto constants: the optimal one is the volume average
@@ -168,11 +173,11 @@ def ray_from_constants(
     """Ray leaving the normalized constant along a Laplace eigenmode."""
     disc = spec.disc
     base = fn.normalize(DiscreteFunction(disc, np.ones(disc.n)), spec.q)
-    spec_data = laplace_eigenpairs(disc, mode_index + 1)
-    phi = spec_data.eigenfunctions[mode_index]
-    phi = fn.project_tangent(spec, base, phi)
-    scale = math.sqrt(w12_norm_sq(disc, phi))
-    direction = DiscreteFunction(disc, phi.values / scale)
+    phi = laplace_eigenpairs(disc, mode_index + 1).eigenfunctions[mode_index].values
+    # project_tangent, its pairing summed node with mirror: the same bits on an even mode, 0 on odd
+    x = disc.quad_weights * fn.power_qm1(base.values, spec.q) * phi
+    phi = DiscreteFunction(disc, phi - 0.5 * float(np.sum(x + x[disc.mirror])) * base.values)
+    direction = DiscreteFunction(disc, phi.values / math.sqrt(w12_norm_sq(disc, phi)))
     if epsilons is None:
         epsilons = default_epsilons()
     return Ray(base=base, direction=direction, epsilons=epsilons)

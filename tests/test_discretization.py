@@ -175,6 +175,22 @@ def test_sphere_laplacian_is_reflection_symmetric(d, n):
     assert np.array_equal(K / qw[:, None], L)
 
 
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("n", [64, 65, 256, 257, 1024])
+def test_split_gram_matches_one_gram_reference(d, n):
+    # the even and odd halves' two Gram products against P^T Dt^T W Dt P from one n x n Gram
+    disc = build(make_sphere(d), n)
+    Dt, qw = disc.diff_matrix, disc.quad_weights
+    assert np.array_equal(Dt[::-1, ::-1], -Dt)  # the split rests on Dt being exactly odd
+    G = np.sqrt(qw)[:, None] * Dt
+    K = G.T @ G
+    p, r = qw / qw.sum(), K.sum(axis=1)
+    want = K - np.outer(r, p) - np.outer(p, r) + r.sum() * np.outer(p, p)
+    want = 0.5 * (want + want.T)
+    got = _weak_laplacian(Dt, qw)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("d", [4, 8])
 @pytest.mark.parametrize("n", [64, 512])
 def test_product_laplacian_is_exactly_symmetric(d, n):

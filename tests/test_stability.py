@@ -10,7 +10,7 @@ from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
 from sobolev_lab.discretization import DiscreteFunction, build, gradient_norm_sq, inner
-from sobolev_lab.geometry import make_sphere
+from sobolev_lab.geometry import make_product, make_sphere
 
 
 def test_bubble_validation(sphere3_disc, product4_disc):
@@ -204,7 +204,21 @@ def test_distance_to_bubbles_is_reflection_invariant(d, n):
     for values in _chebyshev_samples(disc):
         got = st.distance_to_extremals(DiscreteFunction(disc, values[disc.mirror]), family)
         want = st.distance_to_extremals(DiscreteFunction(disc, values), family)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got == want
+
+
+@pytest.mark.parametrize("model, family", [("sphere", "constants"),
+                                           ("sphere", "bubbles_and_constants"),
+                                           ("product", "constants")])
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_distances_are_mirror_invariant_bit_for_bit(model, family, n):
+    # seeded random values, no symmetry at all; at odd n the middle node is its own mirror
+    for size in (n, n + 1) if model == "sphere" else (n,):
+        disc = build(make_sphere(3) if model == "sphere" else make_product(4), size)
+        rng = np.random.Generator(np.random.Philox(n))
+        for values in 1.0 + 0.3 * rng.standard_normal((8, size)):
+            got = st.distance_to_extremals(DiscreteFunction(disc, values[disc.mirror]), family)
+            assert got == st.distance_to_extremals(DiscreteFunction(disc, values), family)
 
 
 def test_distance_to_bubbles_finds_the_lower_of_two_local_minima():
@@ -418,14 +432,20 @@ def test_ray_scan_nondegenerate_control(sphere3_disc):
     assert rep.fitted_slope == pytest.approx(2.0, abs=0.1)
 
 
-def test_ray_scan_is_independent_of_the_direction_sign(subcritical_spec):
-    # the eigen-solver's sign of phi_1 is arbitrary, and -phi_1 is phi_1 reflected
-    ray = st.ray_from_constants(subcritical_spec)
-    minus = DiscreteFunction(subcritical_spec.disc, -ray.direction.values)
+@pytest.mark.parametrize("d, q", [(3, 4.0), (3, 5.0), (8, 2.5)])
+@pytest.mark.parametrize("n", [17, 64, 128, 256])
+def test_ray_scan_is_independent_of_the_direction_sign(d, q, n):
+    # the eigen-solver's sign of phi_1 is arbitrary, and -phi_1 is phi_1 reflected: the
+    # direction is exactly odd, so the two scans measure mirror images, which get the same bits
+    spec = cst.default_spec(build(make_sphere(d), n), q)
+    ray = st.ray_from_constants(spec)
+    R = spec.disc.mirror
+    assert np.array_equal(ray.direction.values[R], -ray.direction.values)
+    minus = DiscreteFunction(spec.disc, -ray.direction.values)
     flipped = st.Ray(ray.base, minus, ray.epsilons)
-    rows = [st.ray_scan(subcritical_spec, r, "bubbles_and_constants").rows for r in (ray, flipped)]
+    rows = [st.ray_scan(spec, r, "bubbles_and_constants").rows for r in (ray, flipped)]
     for got, want in zip(*rows):
-        assert got["distance"] == pytest.approx(want["distance"], rel=1e-12, abs=0.0)
+        assert got["distance"] == want["distance"]
 
 
 def test_ray_scan_rejects_non_tangent_direction(subcritical_spec):
