@@ -98,6 +98,13 @@ def quotient_parts(spec: QuotientSpec, U: np.ndarray, DU: np.ndarray):
     return num, np.array([s**root for s in sums.tolist()])
 
 
+def deficits(spec: QuotientSpec, U: np.ndarray, DU: np.ndarray) -> np.ndarray:
+    """Q(u) - 1 for each row u of a stack U, with DU = U D^T: deficit row by row."""
+    num, norm = quotient_parts(spec, U, DU)
+    denom = np.array([s**2 for s in norm.tolist()])
+    return (num - denom) / denom
+
+
 def _num_and_denom(spec: QuotientSpec, u: DiscreteFunction) -> tuple[float, float]:
     _check_same(spec.disc, u)
     _nonzero(u)
@@ -173,12 +180,16 @@ def euler_lagrange(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarra
     return F
 
 
+def shift(spec: QuotientSpec, x: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
+    """x + 2B - theta (q-1) |u|^{q-2}, summed in this order: the Jacobian's diagonal over x."""
+    x = x + 2.0 * spec.B
+    return x - theta * (spec.q - 1.0) * power_qm2(u, spec.q) if theta else x
+
+
 def euler_lagrange_jacobian(spec: QuotientSpec, u: np.ndarray, theta: float, out=None):
     """Jacobian J = 2A(-Delta) + 2B - theta (q-1) diag(|u|^{q-2}) of the field in u, in `out`."""
     J = np.multiply(spec.disc.laplace_matrix, 2.0 * spec.A, out=out)
-    J.flat[:: spec.disc.n + 1] += 2.0 * spec.B  # the diagonal, with no n x n temporary
-    if theta:
-        J.flat[:: spec.disc.n + 1] -= theta * (spec.q - 1.0) * power_qm2(u, spec.q)
+    J.flat[:: spec.disc.n + 1] = shift(spec, J.flat[:: spec.disc.n + 1], u, theta)  # no n x n copy
     return J
 
 

@@ -13,7 +13,8 @@ polish corrects the kernel coordinates through the Lyapunov-Schmidt system.
 
 Critical points are certified through the weak criticality identity and
 equipped with the spectrum of the constrained Hessian on the tangent
-space, including a kernel basis for the Lyapunov-Schmidt reduction.
+space (at an exact constant, -Delta's shifted, in closed form), including
+a kernel basis for the Lyapunov-Schmidt reduction.
 """
 
 from __future__ import annotations
@@ -87,8 +88,21 @@ def _l2_norm(spec: QuotientSpec, values: np.ndarray) -> float:
 def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> SpectralData:
     """Bottom-k eigenpairs of the constrained Hessian Z^T H Z on the tangent space.
 
-    Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.
+    Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.  At an exact
+    constant (all values equal) J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the
+    pairs are -Delta's but mode 0, each less its W-mean paired node with mirror (0 if odd).
     """
+    disc, qw = spec.disc, spec.disc.quad_weights
+    if not 1 <= k < disc.n:
+        raise ValueError(f"k must be in [1, {disc.n - 1}], got {k}")
+    if np.all(u.values == u.values[0]):
+        fn.check_normalized(spec, u)
+        theta, sd = 2.0 * fn.quotient(spec, u), laplace_eigenpairs(disc, k + 1)
+        X = np.array([f.values for f in sd.eigenfunctions[1:]])
+        X -= (X + X[:, disc.mirror]) @ qw[:, None] / (2.0 * qw.sum())
+        lams = fn.shift(spec, 2.0 * spec.A * sd.eigenvalues[1:], u.values[:1], theta)
+        return SpectralData(lams, [DiscreteFunction(disc, x) for x in X],
+                            2.0 * spec.A * sd.residuals[1:])
     H, v = fn.hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
     Hv, vH = H @ v, v @ H
     # H - 2 (v vH^T + Hv v^T) + 4 (v.Hv) v v^T in place, with one n x n buffer

@@ -4,9 +4,10 @@ The central objects are rays u_eps = base + eps * direction leaving a normalized
 the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family of extremals:
 the constants, or with them the one bubble family b in (-1, 1), whose nearest b is bracketed
 on a grid and solved by Chandrupatla's method (`_root`), distance at the root.  Both families
-are reflection-invariant, so u and its mirror image get the same bits.  A log-log fit of deficit
-against distance estimates the stability exponent: 2 for non-degenerate specs, 4 in the
-degenerate cases (sphere sub-critical, product critical).
+are reflection-invariant, so u and its mirror image get the same bits.  A scan takes its rows as
+one stack: one product with D, one quotient_parts call and the constants' distance at once, the
+bubbles' row by row.  A log-log fit of deficit against distance estimates the stability exponent:
+2 for non-degenerate specs, 4 in the degenerate cases (sphere sub-critical, product critical).
 """
 
 from __future__ import annotations
@@ -126,29 +127,42 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     return math.sqrt(min(dists)) / norm_u
 
 
-def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
-    """Normalized W^{1,2} distance to the chosen extremal family."""
-    if not np.any(u.values):
+def _mirror_choice(values: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """Of u and its mirror image, the one larger at the first node where they differ."""
+    mirrored = values[mirror]
+    first = np.argmax(values != mirrored)
+    return mirrored if mirrored[first] > values[first] else values
+
+
+def _distances(disc: Discretization, U: np.ndarray, DU: np.ndarray, family: str):
+    """distance_to_extremals of u, or of each row of a stack U (each its _mirror_choice), with
+    DU = U D^T: the constants' distance for all rows at once, the bubbles' row by row."""
+    if not np.all(np.any(U, axis=-1)):
         raise ValueError("function is identically zero")
     if family not in EXTREMAL_FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {EXTREMAL_FAMILIES}")
-    disc = u.disc
     if family == "bubbles_and_constants" and disc.model.kind is not ModelKind.SPHERE_RADIAL:
         raise ValueError("bubbles are defined on the sphere-radial model only")
-    # both families are reflection-invariant: of u and its mirror image, measure the one larger
-    # at the first node where they differ, so both get the same bits
-    w, D, vals, mirrored = disc.quad_weights, disc.diff_matrix, u.values, u.values[disc.mirror]
-    first = np.argmax(vals != mirrored)
-    vals = mirrored if mirrored[first] > vals[first] else vals
-    uu = np.stack([vals, D @ vals])
-    norm_u_sq = _w12_pair(w * uu, uu)
+    w, total, UU = disc.quad_weights, np.add.reduce, np.stack([U, DU])
+    s = total(w * UU * UU, axis=-1)  # summed as _w12_pair's, bit for bit
+    norm_sq = s[1] + s[0]
     # closed-form projection onto constants: the optimal one is the volume average
-    diff = vals - disc.integrate(vals) / disc.model.total_volume
-    diff = np.stack([diff, D @ diff])
-    d_const = math.sqrt(_w12_pair(w * diff, diff) / norm_u_sq)
+    C = U - (U @ w / disc.model.total_volume)[..., None]
+    DC = C @ disc.diff_matrix.T
+    d_const = np.sqrt((total(w * DC * DC, axis=-1) + total(w * C * C, axis=-1)) / norm_sq)
     if family == "constants":
         return d_const
-    return min(d_const, _distance_to_bubbles(disc, uu, math.sqrt(norm_u_sq)))
+    if U.ndim == 1:
+        return min(d_const, _distance_to_bubbles(disc, UU, math.sqrt(norm_sq)))
+    # D u by one row's product: near a constant the bubbles' O(eps^2) distance reads its last bits
+    return np.minimum(d_const, [_distance_to_bubbles(disc, np.stack([u, disc.diff_matrix @ u]),
+                                                     math.sqrt(sq)) for u, sq in zip(U, norm_sq)])
+
+
+def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
+    """Normalized W^{1,2} distance to the chosen extremal family."""
+    vals = _mirror_choice(u.values, u.disc.mirror)
+    return float(_distances(u.disc, vals, u.disc.diff_matrix @ vals, family))
 
 
 @dataclass
@@ -158,9 +172,9 @@ class Ray:
     epsilons: np.ndarray
 
     def __post_init__(self):
-        self.epsilons = np.asarray(self.epsilons, dtype=float)
-        if np.any(self.epsilons <= 0) or np.any(np.diff(self.epsilons) <= 0):
-            raise ValueError("epsilons must be positive and strictly increasing")
+        e = self.epsilons = np.asarray(self.epsilons, dtype=float)
+        if not np.all(np.isfinite(e) & (e > 0)) or np.any(np.diff(e) <= 0):
+            raise ValueError("epsilons must be finite, positive and strictly increasing")
 
 
 def default_epsilons(m: int = 25, lo: float = 1e-3, hi: float = 1e-1) -> np.ndarray:
@@ -229,27 +243,19 @@ def ray_scan(spec: QuotientSpec, ray: Ray, family: str = "constants") -> Experim
     estimated quadrature noise floor (the deficit of the base extremal).
     """
     disc = spec.disc
-    tangency = abs(
-        float(np.sum(disc.quad_weights * fn.power_qm1(ray.base.values, spec.q) * ray.direction.values))
-    )
+    pairing = disc.quad_weights * fn.power_qm1(ray.base.values, spec.q) * ray.direction.values
+    tangency = abs(float(np.sum(pairing)))
     if tangency > 1e-10:
         raise ValueError(f"ray direction is not tangent at base (pairing {tangency:.3e})")
-    d0 = abs(fn.deficit(spec, ray.base))
-    floor = NOISE_FLOOR_FACTOR * max(d0, 1e-15)
-    rows = []
-    for eps in ray.epsilons:
-        u = DiscreteFunction(disc, ray.base.values + eps * ray.direction.values)
-        dfc = fn.deficit(spec, u)
-        dst = distance_to_extremals(u, family)
-        rows.append(
-            {
-                "epsilon": float(eps),
-                "deficit": float(dfc),
-                "distance": float(dst),
-                "q_value": float(dfc + 1.0),
-                "in_fit_window": bool(dfc > floor and dst > 0),
-            }
-        )
+    floor = NOISE_FLOOR_FACTOR * max(abs(fn.deficit(spec, ray.base)), 1e-15)
+    # the rows u_eps as one stack, each its _mirror_choice (Q is reflection-invariant too)
+    U = np.array([_mirror_choice(u, disc.mirror)
+                  for u in ray.base.values + ray.epsilons[:, None] * ray.direction.values])
+    DU = U @ disc.diff_matrix.T
+    rows = [{"epsilon": float(eps), "deficit": float(dfc), "distance": float(dst),
+             "q_value": float(dfc + 1.0), "in_fit_window": bool(dfc > floor and dst > 0)}
+            for eps, dfc, dst in zip(ray.epsilons, fn.deficits(spec, U, DU),
+                                     _distances(disc, U, DU, family))]
     window = [r for r in rows if r["in_fit_window"]]
     if len(window) < MIN_FIT_POINTS:
         for r in rows:

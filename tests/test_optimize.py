@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from scipy.linalg import lu_factor, lu_solve
 
 from sobolev_lab import constants as cst
+from sobolev_lab import discretization as dz
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
@@ -67,16 +68,6 @@ def test_hessian_spectrum_matches_dense_compression(spec_name, request):
     X = np.column_stack([f.values for f in sd.eigenfunctions])
     tangency = X.T @ (disc.quad_weights * fn.power_qm1(u.values, spec.q))
     assert np.max(np.abs(tangency)) <= 1e-12
-
-
-def test_hessian_spectrum_at_constant(subcritical_spec):
-    # closed form 2 (q - 2) B (lambda_k / lambda_1 - 1) at the constant
-    spec = subcritical_spec
-    c = _constant(spec.disc, spec.q)
-    sd = opt.hessian_spectrum_at(spec, c, 3)
-    lams = laplace_eigenpairs(spec.disc, 8).eigenvalues
-    want = sorted(2.0 * (spec.q - 2.0) * spec.B * (lams[1:] / lams[1] - 1.0))[:3]
-    assert np.allclose(sd.eigenvalues, want[:3], atol=1e-9)
 
 
 def test_hessian_spectrum_k_validation(subcritical_spec):
@@ -399,6 +390,65 @@ def test_hessian_spectrum_at_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * n * 8 + 2**20
+
+
+@pytest.mark.parametrize("model,d,q,n,a_factor", [
+    ("sphere", 3, 4.0, 512, 1.0), ("sphere", 8, 2.5, 1024, 1.0), ("product", 4, None, 512, 1.0),
+    ("sphere", 3, 4.0, 1024, 1.1),
+])
+def test_closed_form_at_a_constant_matches_the_dense_compression(model, d, q, n, a_factor):
+    # at a constant the tangent pairs are -Delta's but mode 0, shifted; the dense path's
+    # eigenvalues differ by the two solves' rounding (each within 1.2e-12 of j(j+d-1)'s)
+    spec = _degenerate_spec(model, d, q, n, a_factor)
+    c = _constant(spec.disc, spec.q)
+    got = opt.hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE)
+    want = _out_of_place_hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE)
+    scale = np.max(np.abs(want.eigenvalues))
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 2e-12 * scale
+    assert np.max(got.residuals) <= 1e-8 * scale
+    X = np.column_stack([f.values for f in got.eigenfunctions])
+    tangency = X.T @ (spec.disc.quad_weights * fn.power_qm1(c.values, spec.q))
+    assert np.max(np.abs(tangency)) <= 1e-12
+    if model == "product":  # the kernel plane (cos_1, sin_1), up to a rotation in the dense one
+        sw = np.sqrt(spec.disc.quad_weights)[:, None]
+        got_k = sw * X[:, :2]
+        want_k = sw * np.column_stack([f.values for f in want.eigenfunctions[:2]])
+        assert np.max(np.abs(got_k @ got_k.T - want_k @ want_k.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("model,d,q", [("sphere", 3, 4.0), ("product", 4, None)])
+def test_only_an_exact_constant_skips_the_tangent_solve(model, d, q, monkeypatch):
+    # every value equal: no eigen-solve of size n - 1; one ulp off, the dense path, whose
+    # spectrum the closed form matches
+    spec = _degenerate_spec(model, d, q, 64)
+    n, sizes, real = spec.disc.n, [], dz._bottom
+    monkeypatch.setattr(dz, "_bottom", lambda S, k: sizes.append(len(S)) or real(S, k))
+    c = _constant(spec.disc, spec.q)
+    closed = opt.hessian_spectrum_at(spec, c, 6)
+    assert n - 1 not in sizes
+    ulp = c.values.copy()
+    ulp[n // 3] = np.nextafter(ulp[n // 3], 2.0)
+    moved = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
+    for u in (DiscreteFunction(spec.disc, ulp), moved):
+        sizes.clear()
+        opt.hessian_spectrum_at(spec, u, 6)
+        assert sizes == [n - 1]
+    near = opt.hessian_spectrum_at(spec, DiscreteFunction(spec.disc, ulp), 6).eigenvalues
+    assert np.max(np.abs(closed.eigenvalues - near)) <= 1e-12 * np.max(np.abs(near))
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+@pytest.mark.parametrize("d", [4, 8])
+def test_product_kernel_at_a_constant_is_cos_then_sin(d, n):
+    # the Fourier pair in its order; a dense eigh returned a rotation of it that rounding set,
+    # so lojasiewicz_estimate sampled along kernel_basis[0] in a grid-dependent direction
+    spec = _degenerate_spec("product", d, None, n)
+    cp = opt.minimize(spec, DiscreteFunction(spec.disc, np.ones(n)))
+    cos1, sin1 = (f.values for f in cp.kernel_basis)
+    R, t = spec.disc.mirror, 2.0 * math.pi * spec.disc.nodes / spec.disc.model.length
+    assert np.array_equal(cos1[R], cos1) and np.array_equal(sin1[R], -sin1)
+    assert np.max(np.abs(cos1 - cos1[0] * np.cos(t))) <= 1e-14 * cos1[0]
+    assert np.max(np.abs(sin1 - cos1[0] * np.sin(t))) <= 1e-14 * cos1[0]
 
 
 def test_bordered_jacobian_peak_memory():

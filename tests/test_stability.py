@@ -367,6 +367,9 @@ def test_ray_validation(subcritical_spec):
         st.Ray(ray.base, ray.direction, np.array([0.1, 0.05]))
     with pytest.raises(ValueError):
         st.Ray(ray.base, ray.direction, np.array([-0.1, 0.05]))
+    for bad in (np.inf, np.nan):  # the scan does not check its rows one by one
+        with pytest.raises(ValueError, match="finite"):
+            st.Ray(ray.base, ray.direction, np.array([0.05, bad]))
 
 
 def test_default_epsilons():
@@ -448,6 +451,35 @@ def test_ray_scan_is_independent_of_the_direction_sign(d, q, n):
         assert got["distance"] == want["distance"]
 
 
+@pytest.mark.parametrize("model,d,q,n,family,direction", [
+    ("sphere", 3, 4.0, 256, "constants", "mode"),
+    ("sphere", 3, 4.0, 256, "bubbles_and_constants", "mode"),
+    ("sphere", 8, 2.5, 512, "bubbles_and_constants", "mode"),
+    ("sphere", 3, 5.0, 128, "bubbles_and_constants", "random"),
+    ("product", 4, None, 256, "constants", "mode"),
+    ("product", 8, None, 128, "constants", "random"),
+])
+def test_ray_scan_matches_per_row_calls(model, d, q, n, family, direction):
+    # one stack of rows, one product with D, one quotient_parts call: the per-row values to
+    # rounding
+    disc = build(make_sphere(d) if model == "sphere" else make_product(d), n)
+    spec = cst.default_spec(disc, fn.sobolev_conjugate(d) if q is None else q)
+    ray = st.ray_from_constants(spec)
+    if direction == "random":  # neither even nor odd
+        rng = np.random.Generator(np.random.Philox(n + d))
+        phi = np.cos(np.outer(disc.nodes, np.arange(1, 5)) + rng.standard_normal(4)) @ (
+            rng.standard_normal(4))
+        phi = fn.project_tangent(spec, ray.base, DiscreteFunction(disc, phi))
+        phi = DiscreteFunction(disc, phi.values / math.sqrt(st.w12_norm_sq(disc, phi)))
+        ray = st.Ray(ray.base, phi, ray.epsilons)
+    rows = st.ray_scan(spec, ray, family).rows
+    for eps, row in zip(ray.epsilons, rows):
+        u = DiscreteFunction(disc, ray.base.values + eps * ray.direction.values)
+        assert abs(row["deficit"] - fn.deficit(spec, u)) <= 1e-15
+        want = st.distance_to_extremals(u, family)
+        assert abs(row["distance"] - want) <= 1e-13 * want
+
+
 def test_ray_scan_rejects_non_tangent_direction(subcritical_spec):
     ray = st.ray_from_constants(subcritical_spec)
     bad = st.Ray(
@@ -471,7 +503,7 @@ def test_ray_scan_inconclusive_below_noise_floor(subcritical_spec):
 
 
 def test_ray_scan_inconclusive_when_distances_are_equal(subcritical_spec, monkeypatch):
-    monkeypatch.setattr(st, "distance_to_extremals", lambda u, family: 0.01)
+    monkeypatch.setattr(st, "_distances", lambda disc, U, DU, family: np.full(len(U), 0.01))
     ray = st.ray_from_constants(subcritical_spec, epsilons=np.geomspace(1e-2, 1e-1, 5))
     rep = st.ray_scan(subcritical_spec, ray, "constants")
     assert sum(r["in_fit_window"] for r in rep.rows) == 5
