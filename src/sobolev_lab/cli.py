@@ -1,11 +1,13 @@
 """Command-line driver: constants, minimize, spectrum, scan, fit, reproduce.
 
 Options resolve in layers: the OPTIONS defaults, then a JSON config file
-(--config), then explicit flags.  This module alone formats results (the text
-table, the CSV and the JSON reports); each report carries SCHEMA_VERSION, and
-all but the reproduce report embed the fully resolved configuration.  Files
-are written atomically (temp file + rename).  Exit codes: 0 success, 1
-reproduction failure, 2 configuration error, 3 numerical failure.
+(--config), then explicit flags.  This module alone formats results (the
+constants and reproduce tables, the scan CSV and the JSON reports); each report
+carries SCHEMA_VERSION, and all but the reproduce report embed the fully
+resolved configuration.  Files are written atomically (temp file + rename).
+Exit codes: 0 success, 1 reproduction failure, 3 numerical failure (a
+RuntimeError, LinAlgError or FloatingPointError), 2 configuration error (any
+other ValueError: each input is checked once, by the function that uses it).
 """
 
 from __future__ import annotations
@@ -125,24 +127,17 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _build_disc(cfg: dict):
-    """The model and its discretization; an out-of-range d or n is a ConfigError."""
+    """The model and its discretization."""
     if cfg["model"] not in ("sphere", "product"):
         raise ConfigError(f"model must be 'sphere' or 'product', got {cfg['model']!r}")
-    make = make_sphere if cfg["model"] == "sphere" else make_product
-    try:
-        model = make(cfg["d"])
-        return model, build(model, cfg["n"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = (make_sphere if cfg["model"] == "sphere" else make_product)(cfg["d"])
+    return model, build(model, cfg["n"])
 
 
 def _resolve_q(cfg: dict, model) -> float:
     """cfg["q"], or 2* when it is <= 0; it must lie in (2, 2*], so NaN is rejected."""
     q = sobolev_conjugate(model.dim) if cfg["q"] <= 0 else cfg["q"]
-    try:
-        check_exponent(q, model.dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_exponent(q, model.dim)
     cfg["q"] = q
     return q
 
@@ -154,10 +149,7 @@ def _build_spec(cfg: dict) -> QuotientSpec:
     for key in ("A", "B"):
         if cfg[key] <= 0:
             cfg[key] = getattr(spec, key)
-    try:
-        return dataclasses.replace(spec, A=cfg["A"], B=cfg["B"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return dataclasses.replace(spec, A=cfg["A"], B=cfg["B"])
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -185,6 +177,20 @@ def _constants_table(report: cst.ConstantsReport) -> str:
     return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
+def format_table(results: list[dict]) -> str:
+    width = max(len(r["name"]) for r in results) if results else 10
+    lines = []
+    for r in results:
+        status = "PASS" if r["passed"] else "FAIL"
+        lines.append(
+            f"{status}  {r['name']:<{width}}  value={r['value']:< 12.6g} "
+            f"({r['seconds']:.2f}s)  {r['detail']}"
+        )
+    n_pass = sum(r["passed"] for r in results)
+    lines.append(f"{n_pass}/{len(results)} criteria passed")
+    return "\n".join(lines)
+
+
 def _scan_csv(report: st.ExperimentReport) -> str:
     """One row per epsilon: four floats by repr, and in_fit_window as 0 or 1."""
     columns = ("epsilon", "deficit", "distance", "q_value", "in_fit_window")
@@ -197,8 +203,6 @@ def _scan_csv(report: st.ExperimentReport) -> str:
 
 def cmd_constants(args) -> int:
     cfg = _resolve(args)
-    if cfg["b_budget"] < 0:
-        raise ConfigError(f"b_budget must be >= 0, got {cfg['b_budget']}")
     model, disc = _build_disc(cfg)
     q = _resolve_q(cfg, model)
     report = cst.constants_report(disc, q, b_budget=cfg["b_budget"], seed=cfg["seed"])
@@ -214,10 +218,7 @@ def _initial_guess(cfg: dict, disc):
     if init == "constant":
         return DiscreteFunction(disc, np.ones(disc.n))
     if init.startswith("bubble:"):
-        try:
-            return st.bubble(disc, 1.0, float(init.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"init {init!r}: {exc}") from exc
+        return st.bubble(disc, 1.0, float(init.split(":", 1)[1]))
     if init == "random":
         sd = laplace_eigenpairs(disc, min(8, disc.n))
         phis = np.column_stack([f.values for f in sd.eigenfunctions])
@@ -262,8 +263,6 @@ def cmd_minimize(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args)
     _, disc = _build_disc(cfg)
-    if not 1 <= cfg["k"] <= disc.n:
-        raise ConfigError(f"k must be in [1, {disc.n}], got {cfg['k']}")
     sd = laplace_eigenpairs(disc, cfg["k"])
     payload = {
         "eigenvalues": sd.eigenvalues.tolist(),
@@ -277,20 +276,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _resolve(args)
-    if cfg["family"] not in st.EXTREMAL_FAMILIES:
-        raise ConfigError(
-            f"family must be one of {st.EXTREMAL_FAMILIES}, got {cfg['family']!r}"
-        )
-    if cfg["family"] == "bubbles_and_constants" and cfg["model"] != "sphere":
-        raise ConfigError("family bubbles_and_constants needs the sphere model")
-    if not 0 < cfg["eps_lo"] < cfg["eps_hi"] < math.inf:
-        raise ConfigError("need 0 < eps_lo < eps_hi < inf")
     if cfg["eps_count"] < st.MIN_FIT_POINTS:
         raise ConfigError(f"eps_count must be >= {st.MIN_FIT_POINTS}, got {cfg['eps_count']}")
     spec = _build_spec(cfg)
-    n = spec.disc.n
-    if not 1 <= cfg["mode_index"] < n:
-        raise ConfigError(f"mode_index must be in [1, {n - 1}], got {cfg['mode_index']}")
     ray = st.ray_from_constants(
         spec,
         mode_index=cfg["mode_index"],
@@ -346,7 +334,7 @@ def cmd_reproduce(args) -> int:
     results = rep.run_suite(only=args.only, n=args.n)
     if not results:
         raise ConfigError(f"--only {args.only!r} matched no criteria")
-    print(rep.format_table(results))
+    print(format_table(results))
     if args.out:
         _emit({"schema_version": SCHEMA_VERSION, "results": results}, args.out)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_REPRODUCE_FAIL
@@ -396,12 +384,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    # first: LinAlgError is a ValueError, and NumericalError a RuntimeError
     except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
+    except ValueError as exc:  # a ConfigError, or an input a library function rejects
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

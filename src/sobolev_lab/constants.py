@@ -171,6 +171,8 @@ def estimate_b_opt(
     below its start.  A start ends at the same point whatever the others, so the value is
     monotone nondecreasing in `budget` (seeds 0..budget-1).  `model` is unread: `disc` is.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     spec_data = laplace_eigenpairs(disc, min(n_modes, disc.n))
     phi_mat = np.column_stack([f.values for f in spec_data.eigenfunctions])
     k, w = phi_mat.shape[1], disc.quad_weights

@@ -324,6 +324,8 @@ def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2
     product), bubbles on the sphere, and seeded random smooth fields.  They
     descend together (_minimize_starts); only the best result gets a spectrum.
     """
+    if extra_starts < 0:
+        raise ValueError(f"extra_starts must be >= 0, got {extra_starts}")
     disc = spec.disc
     const = np.ones(disc.n)
     spec_data = laplace_eigenpairs(disc, min(6, disc.n))

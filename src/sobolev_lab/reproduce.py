@@ -271,16 +271,3 @@ def run_suite(only: str | None = None, n: int | None = None) -> list[dict]:
             results.append(_case(name, check))
     return results
 
-
-def format_table(results: list[dict]) -> str:
-    width = max(len(r["name"]) for r in results) if results else 10
-    lines = []
-    for r in results:
-        status = "PASS" if r["passed"] else "FAIL"
-        lines.append(
-            f"{status}  {r['name']:<{width}}  value={r['value']:< 12.6g} "
-            f"({r['seconds']:.2f}s)  {r['detail']}"
-        )
-    n_pass = sum(r["passed"] for r in results)
-    lines.append(f"{n_pass}/{len(results)} criteria passed")
-    return "\n".join(lines)

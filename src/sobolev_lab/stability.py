@@ -134,9 +134,9 @@ def _mirror_choice(values: np.ndarray, mirror: np.ndarray) -> np.ndarray:
     return mirrored if mirrored[first] > values[first] else values
 
 
-def _distances(disc: Discretization, U: np.ndarray, DU: np.ndarray, family: str):
-    """distance_to_extremals of u, or of each row of a stack U (each its _mirror_choice), with
-    DU = U D^T: the constants' distance for all rows at once, the bubbles' row by row."""
+def _distances(disc: Discretization, U: np.ndarray, DU: np.ndarray, family: str) -> np.ndarray:
+    """distance_to_extremals of each row of a stack U (each its _mirror_choice), with DU = U D^T:
+    the constants' distance for all rows at once, the bubbles' row by row."""
     if not np.all(np.any(U, axis=-1)):
         raise ValueError("function is identically zero")
     if family not in EXTREMAL_FAMILIES:
@@ -152,8 +152,6 @@ def _distances(disc: Discretization, U: np.ndarray, DU: np.ndarray, family: str)
     d_const = np.sqrt((total(w * DC * DC, axis=-1) + total(w * C * C, axis=-1)) / norm_sq)
     if family == "constants":
         return d_const
-    if U.ndim == 1:
-        return min(d_const, _distance_to_bubbles(disc, UU, math.sqrt(norm_sq)))
     # D u by one row's product: near a constant the bubbles' O(eps^2) distance reads its last bits
     return np.minimum(d_const, [_distance_to_bubbles(disc, np.stack([u, disc.diff_matrix @ u]),
                                                      math.sqrt(sq)) for u, sq in zip(U, norm_sq)])
@@ -162,7 +160,7 @@ def _distances(disc: Discretization, U: np.ndarray, DU: np.ndarray, family: str)
 def distance_to_extremals(u: DiscreteFunction, family: str) -> float:
     """Normalized W^{1,2} distance to the chosen extremal family."""
     vals = _mirror_choice(u.values, u.disc.mirror)
-    return float(_distances(u.disc, vals, u.disc.diff_matrix @ vals, family))
+    return float(_distances(u.disc, vals[None], (u.disc.diff_matrix @ vals)[None], family)[0])
 
 
 @dataclass
@@ -178,14 +176,19 @@ class Ray:
 
 
 def default_epsilons(m: int = 25, lo: float = 1e-3, hi: float = 1e-1) -> np.ndarray:
+    """m epsilons log-spaced from lo to hi."""
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"need 0 < lo < hi < inf, got lo = {lo}, hi = {hi}")
     return np.geomspace(lo, hi, m)
 
 
 def ray_from_constants(
     spec: QuotientSpec, mode_index: int = 1, epsilons: np.ndarray | None = None
 ) -> Ray:
-    """Ray leaving the normalized constant along a Laplace eigenmode."""
+    """Ray leaving the normalized constant along a non-constant Laplace eigenmode."""
     disc = spec.disc
+    if not 1 <= mode_index < disc.n:
+        raise ValueError(f"mode_index must be in [1, {disc.n - 1}], got {mode_index}")
     base = fn.normalize(DiscreteFunction(disc, np.ones(disc.n)), spec.q)
     phi = laplace_eigenpairs(disc, mode_index + 1).eigenfunctions[mode_index].values
     # project_tangent, its pairing summed node with mirror: the same bits on an even mode, 0 on odd

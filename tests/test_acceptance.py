@@ -13,6 +13,7 @@ import pytest
 
 from sobolev_lab import functionals as fn
 from sobolev_lab import reproduce as rep
+from sobolev_lab.cli import format_table
 from sobolev_lab.discretization import DiscreteFunction, laplace_eigenpairs
 
 
@@ -127,8 +128,21 @@ def test_norms_are_squared_by_scalar_pow(monkeypatch):
     assert passed and value == 0.0
 
 
+def test_a_criterion_that_raises_fails_and_the_suite_goes_on(monkeypatch):
+    def broken():
+        raise ArithmeticError("broken criterion")
+
+    kept = [c for c in rep.CRITERIA if c[0] == "strict_binding"]
+    monkeypatch.setattr(rep, "CRITERIA", [("broken", broken), *kept])
+    results = rep.run_suite()
+    assert [(r["name"], r["passed"]) for r in results] == [("broken", False),
+                                                           ("strict_binding", True)]
+    assert math.isnan(results[0]["value"])
+    assert results[0]["detail"] == "error: ArithmeticError('broken criterion')"
+
+
 def test_suite_runtime_budget(suite):
     by_name, elapsed = suite
     results = list(by_name.values())
-    assert all(r["passed"] for r in results), rep.format_table(results)
+    assert all(r["passed"] for r in results), format_table(results)
     assert elapsed < 600.0, f"reproduction suite took {elapsed:.0f}s"

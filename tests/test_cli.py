@@ -9,18 +9,22 @@ import pytest
 import sobolev_lab
 
 from sobolev_lab import constants as cst
+from sobolev_lab import discretization as dz
 from sobolev_lab import optimize as opt
+from sobolev_lab import stability as st
 from sobolev_lab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERICAL_ERROR,
     EXIT_OK,
     HELP,
     OPTIONS,
+    ConfigError,
     _resolve,
+    _write_atomic,
     build_parser,
     main,
 )
-from sobolev_lab.discretization import build
+from sobolev_lab.discretization import build, laplace_eigenpairs
 from sobolev_lab.geometry import make_product
 
 # for every option, a value of the default's type that is not the default
@@ -174,6 +178,13 @@ def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+
+
+def test_config_file_holding_an_array_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "configuration error: config file must hold a JSON object\n"
 
 
 def test_minimize_reports_certificate(tmp_path):
@@ -408,6 +419,28 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file in a directory's place
+    with pytest.raises(OSError):
+        _write_atomic(str(target), "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_spectrum_residual_guard_is_numerical_failure(capsys, monkeypatch):
+    real = dz._bottom
+
+    def loose(S, k):
+        values, vecs, residuals = real(S, k)
+        return values, vecs, residuals + 1.0
+
+    monkeypatch.setattr(dz, "_bottom", loose)
+    assert main(["spectrum", "--n", "64"]) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: eigen-solve residuals too large: 1.0")
+
+
 def test_thread_cap_is_set_before_blas_loads():
     env = {
         k: v for k, v in os.environ.items()
@@ -471,3 +504,26 @@ def test_out_of_range_input_is_config_error(argv, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
     assert captured.err.count("\n") == 1
+
+
+# Inputs the CLI passes on unchecked: the library function that uses each rejects it, and main
+# maps that ValueError to exit 2 (test_out_of_range_input_is_config_error runs each through main).
+@pytest.mark.parametrize("spec_name, call, message", [
+    ("subcritical_spec", lambda s: laplace_eigenpairs(s.disc, 65),
+     r"k must be in \[1, 64\], got 65"),
+    ("subcritical_spec", lambda s: st.ray_from_constants(s, 0),
+     r"mode_index must be in \[1, 63\], got 0"),
+    ("subcritical_spec", lambda s: st.default_epsilons(25, 0.1, 0.01),
+     "need 0 < lo < hi < inf, got lo = 0.1, hi = 0.01"),
+    ("subcritical_spec", lambda s: st.ray_scan(s, st.ray_from_constants(s), "spheres"),
+     "unknown family 'spheres'"),
+    ("critical_product_spec",
+     lambda s: st.ray_scan(s, st.ray_from_constants(s), "bubbles_and_constants"),
+     "bubbles are defined on the sphere-radial model only"),
+    ("subcritical_spec", lambda s: cst.estimate_b_opt(s.disc.model, s.disc, budget=-1),
+     "budget must be >= 0, got -1"),
+], ids=["k", "mode-index", "eps-window", "family", "bubbles-on-product", "budget"])
+def test_library_rejects_what_the_cli_passes_on(spec_name, call, message, request):
+    with pytest.raises(ValueError, match=message) as raised:
+        call(request.getfixturevalue(spec_name))
+    assert not isinstance(raised.value, ConfigError)

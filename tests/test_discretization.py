@@ -108,6 +108,18 @@ def test_eigenpairs_k_validation(sphere3_disc):
         laplace_eigenpairs(sphere3_disc, sphere3_disc.n + 1)
 
 
+def test_eigenpairs_residual_guard(sphere3_disc, monkeypatch):
+    real = dz._bottom
+
+    def loose(S, k):
+        values, vecs, residuals = real(S, k)
+        return values, vecs, residuals + 1.0
+
+    monkeypatch.setattr(dz, "_bottom", loose)
+    with pytest.raises(RuntimeError, match="eigen-solve residuals too large: 1.0"):
+        laplace_eigenpairs(sphere3_disc, 4)
+
+
 def test_norms_against_closed_forms(sphere3_disc):
     vol = sphere3_disc.model.total_volume
     one = DiscreteFunction(sphere3_disc, np.ones(sphere3_disc.n))

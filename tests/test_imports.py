@@ -1,7 +1,8 @@
 """Every module-level import in the package and the tests is read somewhere,
 the package imports its own modules at module level only, the CLI is the
-only package module that imports json or csv: it alone formats output, and
-no package module imports or loads scipy.optimize."""
+only package module that imports json or csv: it alone formats output, no
+package module imports or loads scipy.optimize, and the CLI wraps no
+ValueError in a ConfigError."""
 
 import ast
 import os
@@ -72,6 +73,22 @@ def test_no_package_module_imports_scipy_optimize():
             importers += [f"{path.name}:{node.lineno}" for m in modules
                           if m.startswith("scipy.optimize")]
     assert importers == []
+
+
+
+def test_the_cli_wraps_no_value_error_in_a_config_error():
+    # main maps every ValueError to exit 2, so an input a library function rejects is reported
+    # by that function's own check, not by a CLI wrapper that repeats it
+    wrappers = []
+    for handler in ast.walk(ast.parse((ROOT / "src" / "sobolev_lab" / "cli.py").read_text())):
+        if not isinstance(handler, ast.ExceptHandler) or handler.type is None:
+            continue
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        if any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught):
+            wrappers += [f"cli.py:{node.lineno}" for node in ast.walk(handler)
+                         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                         and getattr(node.exc.func, "id", None) == "ConfigError"]
+    assert wrappers == []
 
 
 COLD_PATH = """

@@ -264,6 +264,11 @@ def test_multistart_deterministic(subcritical_spec):
     assert np.array_equal(a.u.values, b.u.values)
 
 
+def test_multistart_rejects_negative_extra_starts(subcritical_spec):
+    with pytest.raises(ValueError, match="extra_starts must be >= 0, got -1"):
+        opt.multistart_minimize(subcritical_spec, extra_starts=-1)
+
+
 def test_reduced_functional_symmetry_and_quartic(subcritical_spec):
     # the reduced functional along the flat mode is even and quartic-flat
     cp = opt.minimize(subcritical_spec, DiscreteFunction(
@@ -712,6 +717,25 @@ def test_polish_falls_back_to_plain_newton(monkeypatch):
     plain, converged = opt._bordered_newton(spec, u, theta, np.zeros((64, 0)), np.zeros(0),
                                             opt.POLISH_NEWTON_MAX)[::3]
     assert converged and np.array_equal(polished, plain)
+
+
+def test_bordered_newton_stops_when_no_damped_step_lowers_the_residual(monkeypatch):
+    # from a solved point with the rounding floor at 0, the residual is all rounding: Newton
+    # stops at its first step that no halving makes lower, well before max_iter
+    spec = _degenerate_spec("sphere", 3, 4.0, 64, 1.1)
+    u = fn.normalize(bubble(spec.disc, 1.0, 0.3), spec.q).values
+    theta = 2.0 * fn.quotient(spec, DiscreteFunction(spec.disc, u))
+    K, target = np.zeros((64, 0)), np.zeros(0)
+    u, theta, _, converged = opt._bordered_newton(spec, u, theta, K, target)
+    assert converged
+    monkeypatch.setattr(opt, "FLOOR_FACTOR", 0.0)
+    jacobians = []
+    real = opt._bordered_jacobian
+    monkeypatch.setattr(opt, "_bordered_jacobian", lambda *a: jacobians.append(1) or real(*a))
+    start = opt._bordered_residual(spec, np.append(u, theta), K, target)[1]
+    u2, theta2, _, converged = opt._bordered_newton(spec, u, theta, K, target)
+    assert not converged and 1 <= len(jacobians) < opt.NEWTON_MAX
+    assert opt._bordered_residual(spec, np.append(u2, theta2), K, target)[1] <= start
 
 
 def _lockstep_starts(disc):

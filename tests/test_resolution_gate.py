@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sobolev_lab import reproduce as rep
-from sobolev_lab.cli import EXIT_OK, main
+from sobolev_lab.cli import EXIT_OK, format_table, main
 from sobolev_lab.discretization import build, laplace_eigenpairs
 from sobolev_lab.geometry import make_sphere
 
@@ -87,4 +87,4 @@ def suite_at_n(request):
 
 def test_reproduce_passes_at_every_resolution(suite_at_n):
     n, results = suite_at_n
-    assert all(r["passed"] for r in results), f"n = {n}\n" + rep.format_table(results)
+    assert all(r["passed"] for r in results), f"n = {n}\n" + format_table(results)

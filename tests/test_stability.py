@@ -379,6 +379,26 @@ def test_default_epsilons():
     assert eps[-1] == pytest.approx(1e-1)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.1, 0.01), (0.0, 0.1), (-1e-3, 0.1), (1e-3, math.inf),
+                                    (math.nan, 0.1), (1e-3, math.nan)])
+def test_default_epsilons_rejects_a_window_outside_zero_to_inf(lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before np.geomspace warns on an inf end
+        with pytest.raises(ValueError, match=r"need 0 < lo < hi < inf, got lo = "):
+            st.default_epsilons(25, lo, hi)
+
+
+@pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
+@pytest.mark.parametrize("mode_index", [0, -1, 64])
+def test_ray_from_constants_takes_a_non_constant_mode(spec_name, mode_index, request):
+    # mode 0 is the constant itself: its tangent part is rounding noise, not a direction
+    spec = request.getfixturevalue(spec_name)
+    with pytest.raises(ValueError, match=rf"mode_index must be in \[1, 63\], got {mode_index}"):
+        st.ray_from_constants(spec, mode_index)
+    ray = st.ray_from_constants(spec, 63)
+    assert st.w12_norm_sq(spec.disc, ray.direction) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_ray_direction_tangent_unit(subcritical_spec):
     ray = st.ray_from_constants(subcritical_spec)
     disc = subcritical_spec.disc
