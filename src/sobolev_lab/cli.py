@@ -30,7 +30,7 @@ from . import optimize as opt
 from . import reproduce as rep
 from . import stability as st
 from .discretization import MIN_NODES, DiscreteFunction, build, laplace_eigenpairs
-from .functionals import QuotientSpec, check_exponent, sobolev_conjugate
+from .functionals import QuotientSpec, sobolev_conjugate
 from .geometry import make_product, make_sphere
 
 EXIT_OK = 0
@@ -135,11 +135,9 @@ def _build_disc(cfg: dict):
 
 
 def _resolve_q(cfg: dict, model) -> float:
-    """cfg["q"], or 2* when it is <= 0; it must lie in (2, 2*], so NaN is rejected."""
-    q = sobolev_conjugate(model.dim) if cfg["q"] <= 0 else cfg["q"]
-    check_exponent(q, model.dim)
-    cfg["q"] = q
-    return q
+    """cfg["q"], or 2* when it is <= 0; a_opt_default rejects a q outside (2, 2*], NaN too."""
+    cfg["q"] = sobolev_conjugate(model.dim) if cfg["q"] <= 0 else cfg["q"]
+    return cfg["q"]
 
 
 def _build_spec(cfg: dict) -> QuotientSpec:
@@ -220,11 +218,8 @@ def _initial_guess(cfg: dict, disc):
     if init.startswith("bubble:"):
         return st.bubble(disc, 1.0, float(init.split(":", 1)[1]))
     if init == "random":
-        sd = laplace_eigenpairs(disc, min(8, disc.n))
-        phis = np.column_stack([f.values for f in sd.eigenfunctions])
-        rng = np.random.Generator(np.random.Philox(cfg["seed"]))
-        coeffs = rng.standard_normal(phis.shape[1]) * 0.5 ** np.arange(phis.shape[1])
-        return DiscreteFunction(disc, 1.0 + phis @ coeffs)
+        phis = laplace_eigenpairs(disc, min(8, disc.n)).matrix
+        return DiscreteFunction(disc, opt.random_starts(phis, cfg["seed"], 1)[0])
     raise ConfigError(f"init must be constant, random or bubble:<b>, got {init!r}")
 
 

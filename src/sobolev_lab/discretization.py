@@ -88,6 +88,11 @@ class SpectralData:
     eigenfunctions: list
     residuals: np.ndarray
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The eigenfunctions' values as the columns of one n x k array."""
+        return np.column_stack([f.values for f in self.eigenfunctions])
+
 
 def _fold_weights(qw: np.ndarray) -> np.ndarray:
     """sqrt(W) on the nodes that stand for the reflection's halves: the top n // 2, each with its

@@ -165,10 +165,11 @@ def power_qm2(u: np.ndarray, q: float) -> np.ndarray:
 def project_tangent(
     spec: QuotientSpec, u: DiscreteFunction, phi: DiscreteFunction
 ) -> DiscreteFunction:
-    """L^2-project phi onto the tangent space {v : int u^{q-1} v dVol = 0}."""
+    """L^2-project phi onto the tangent space {v : int u^{q-1} v dVol = 0}, the pairing summed
+    node with mirror (exactly 0 for phi odd, u even); at a constant u: phi less its W-mean."""
     check_normalized(spec, u)
-    uq1 = power_qm1(u.values, spec.q)
-    coef = float(np.sum(spec.disc.quad_weights * uq1 * phi.values))
+    x = spec.disc.quad_weights * power_qm1(u.values, spec.q) * phi.values
+    coef = 0.5 * float(np.sum(x + x[spec.disc.mirror]))
     return DiscreteFunction(spec.disc, phi.values - coef * u.values)
 
 

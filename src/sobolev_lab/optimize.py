@@ -27,7 +27,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from . import functionals as fn
-from .discretization import DiscreteFunction, SpectralData, frame_eigenpairs, laplace_eigenpairs
+from .discretization import (DiscreteFunction, SpectralData, frame_eigenpairs, inner,
+                             laplace_eigenpairs)
 from .functionals import QuotientSpec
 
 KERNEL_THRESHOLD = 1e-6
@@ -81,27 +82,20 @@ def certify(spec: QuotientSpec, u: DiscreteFunction) -> float:
     return 0.5 * float(np.max(np.abs(F)))
 
 
-def _l2_norm(spec: QuotientSpec, values: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(spec.disc.quad_weights * values * values)))
-
-
 def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> SpectralData:
     """Bottom-k eigenpairs of the constrained Hessian Z^T H Z on the tangent space.
 
     Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.  At an exact
     constant (all values equal) J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the
-    pairs are -Delta's but mode 0, each less its W-mean paired node with mirror (0 if odd).
+    pairs are -Delta's but mode 0, each tangent-projected (less its W-mean; an odd one as is).
     """
-    disc, qw = spec.disc, spec.disc.quad_weights
+    disc = spec.disc
     if not 1 <= k < disc.n:
         raise ValueError(f"k must be in [1, {disc.n - 1}], got {k}")
     if np.all(u.values == u.values[0]):
-        fn.check_normalized(spec, u)
         theta, sd = 2.0 * fn.quotient(spec, u), laplace_eigenpairs(disc, k + 1)
-        X = np.array([f.values for f in sd.eigenfunctions[1:]])
-        X -= (X + X[:, disc.mirror]) @ qw[:, None] / (2.0 * qw.sum())
         lams = fn.shift(spec, 2.0 * spec.A * sd.eigenvalues[1:], u.values[:1], theta)
-        return SpectralData(lams, [DiscreteFunction(disc, x) for x in X],
+        return SpectralData(lams, [fn.project_tangent(spec, u, f) for f in sd.eigenfunctions[1:]],
                             2.0 * spec.A * sd.residuals[1:])
     H, v = fn.hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
     Hv, vH = H @ v, v @ H
@@ -217,9 +211,9 @@ def _polish(spec: QuotientSpec, u: np.ndarray, theta: float) -> np.ndarray:
     u_q = fn.normalize(DiscreteFunction(disc, np.abs(u)), spec.q)
     sd = hessian_spectrum_at(spec, u_q, min(SPECTRUM_SIZE, disc.n - 1))
     lams = np.abs(sd.eigenvalues)
-    kernel = [f.values for lam, f in zip(lams, sd.eigenfunctions) if lam < KERNEL_GAP * lams.max()]
-    if kernel:
-        K, n1, l = np.column_stack(kernel), disc.n + 1, len(kernel)
+    K = np.compress(lams < KERNEL_GAP * lams.max(), sd.matrix, axis=1)  # C order; K[:, mask] is F
+    if K.size:
+        n1, l = disc.n + 1, K.shape[1]
         c = K.T @ (disc.quad_weights * u)
         v, eta, mu, _ = _bordered_newton(spec, u, theta, K, c)
         for _ in range(KERNEL_STEPS):  # M: the Jacobian solved against its border columns
@@ -299,7 +293,8 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fn.MixedSignWarning)
             u = fn.normalize(DiscreteFunction(disc, _polish(spec, u, 2.0 * qval)), q)
-        grad_residual = _l2_norm(spec, fn.gradient(spec, u).values)
+        g = fn.gradient(spec, u)
+        grad_residual = math.sqrt(inner(disc, g, g))
         results.append(CriticalPoint(u, fn.quotient(spec, u), grad_residual,
                                      grad_residual < GRAD_TOL, its))
     cp = _best(results)
@@ -321,7 +316,7 @@ def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2
 
     Starts: constants, one first-eigenfunction perturbation (its sign flip is
     the same problem: a reflection on the sphere, a half-period shift on the
-    product), bubbles on the sphere, and seeded random smooth fields.  They
+    product), bubbles on the sphere, and random_starts' smooth fields.  They
     descend together (_minimize_starts); only the best result gets a spectrum.
     """
     if extra_starts < 0:
@@ -330,12 +325,14 @@ def multistart_minimize(spec: QuotientSpec, seed: int = 0, extra_starts: int = 2
     const = np.ones(disc.n)
     spec_data = laplace_eigenpairs(disc, min(6, disc.n))
     starts = [const, const + 0.3 * spec_data.eigenfunctions[1].values, *fn.bubble_starts(disc)]
+    return _minimize_starts(spec, starts + random_starts(spec_data.matrix, seed, extra_starts))
+
+
+def random_starts(phis: np.ndarray, seed: int, count: int) -> list:
+    """count random smooth fields 1 + phis @ c, c_j ~ N(0, 1) 0.5^j, from the Philox stream seed."""
     rng = np.random.Generator(np.random.Philox(seed))
-    phis = np.column_stack([f.values for f in spec_data.eigenfunctions])
-    for _ in range(extra_starts):
-        coeffs = rng.standard_normal(phis.shape[1]) * 0.5 ** np.arange(phis.shape[1])
-        starts.append(const + phis @ coeffs)
-    return _minimize_starts(spec, starts)
+    scale = 0.5 ** np.arange(phis.shape[1])
+    return [1.0 + phis @ (rng.standard_normal(phis.shape[1]) * scale) for _ in range(count)]
 
 
 def reduced_functional(

@@ -120,8 +120,7 @@ def check_variation_formulas(n: int = 96):
     for spec in specs:
         disc = spec.disc
         D = disc.diff_matrix
-        sd = laplace_eigenpairs(disc, 8)
-        phis = np.column_stack([f.values for f in sd.eigenfunctions])
+        phis = laplace_eigenpairs(disc, 8).matrix
         rng = np.random.Generator(np.random.Philox(2024))
         for _ in range(50):
             coeffs = rng.standard_normal(8) * 0.4 ** np.arange(8)
@@ -187,8 +186,7 @@ def check_nondegenerate_control(n: int = 128):
     disc = spec.disc
     ray = st.ray_from_constants(spec)
     rep = st.ray_scan(spec, ray, "constants")
-    sd = laplace_eigenpairs(disc, 6)
-    phis = np.column_stack([f.values for f in sd.eigenfunctions])
+    phis = laplace_eigenpairs(disc, 6).matrix
     rng = np.random.Generator(np.random.Philox(7))
     init = DiscreteFunction(disc, 1.0 + phis @ (0.3 * rng.standard_normal(6)))
     cp = opt.minimize(spec, init)
@@ -227,7 +225,7 @@ def check_b_estimator(n: int = 64):
 def check_deficit_nonnegativity(n: int = 64, count: int = 10_000):
     spec = _sphere_subcritical_spec(n)
     disc = spec.disc
-    phis = np.column_stack([f.values for f in laplace_eigenpairs(disc, 10).eigenfunctions])
+    phis = laplace_eigenpairs(disc, 10).matrix
     rng = np.random.Generator(np.random.Philox(42))
     worst = math.inf
     # fn.deficits on chunks of samples; a row holds one sample's 10 coefficients, then its offset

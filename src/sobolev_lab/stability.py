@@ -57,10 +57,10 @@ def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
 
 
 def _root(f, lo: float, hi: float) -> float:
-    """Distance^2 at the root in [lo, hi] of the slope, f(b) = (slope, distance^2), read at the
-    bracket end of smaller |slope| once tol = 4 eps |b| + 1e-300 exceeds half the bracket, by
-    Chandrupatla's method (Adv. Eng. Softw. 28, 1997); RuntimeError after 100 steps.  Where the
-    end slopes do not bracket (one sign, an exact 0, a NaN slope anywhere): the lesser end's."""
+    """Distance^2 at the root in [lo, hi] of the slope, f(b) = (slope, distance^2): Chandrupatla's
+    method (Adv. Eng. Softw. 28, 1997) reads it where f gives a slope of 0 (f's rounding level), or
+    at the bracket end of smaller |slope| once 4 eps |b| + 1e-300 exceeds half the bracket;
+    RuntimeError after 100 steps.  Unbracketing ends or a NaN slope anywhere: the lesser end's."""
     x1, x2, t = float(lo), float(hi), 0.5
     (f1, d1), (f2, d2) = f(x1), f(x2)
     lesser = min(d1, d2)
@@ -92,13 +92,15 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     # bubbles at t = pi.  a(b) is closed form, and the envelope derivative
     # d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to + on the grid (step
     # ~0.5 / max(1, |e|) in s = artanh b, as |d_s log g| <= 2|e|) around each minimum in b;
-    # Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance
-    # is linear in |b - b*|, and gives the distance at the root (the lesser node's where the
-    # slope is 0 to rounding at one).  A grid end counts unless the distance falls from it into
-    # the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken:
-    # Du - a Dg loses up to 40x more digits, as D is O(n^2) on the O(1) parts of u and g.
+    # Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance is
+    # linear in |b - b*|, or until fit gives the slope as 0, within its rounding level
+    # 4 eps |a| sum |w r d_b g| (so a root at b = 0, along an even mode, ends), and gives the
+    # distance at the root (the lesser node's where the slope is 0 at one).  A grid end counts
+    # unless the distance falls from it into the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2
+    # is noise on a bubble) and D r taken: Du - a Dg loses up to 40x more digits, as D is O(n^2)
+    # on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
-    e = (2.0 - d) / 2.0
+    e, eps = (2.0 - d) / 2.0, float(np.finfo(float).eps)
     if disc._bubble_grid is None:  # the grid pass depends on disc only: made once, kept on it
         half = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
         grid = np.concatenate([-half[:0:-1], half])  # odd in s, with b = 0 and the half's nodes
@@ -116,7 +118,11 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
         np.matmul(D, np.multiply(-e * cos_t / (1.0 - b * cos_t), g[0], out=dg[0]), out=dg[1])
         a = _w12_pair(wu, g) / _w12_pair(w * g, g)
         np.matmul(D, np.subtract(u[0], a * g[0], out=r[0]), out=r[1])
-        return -a * _w12_pair(w * r, dg), _w12_pair(w * r, r)
+        wr = w * r
+        s = np.add.reduce(np.multiply(wr, dg, out=dg), axis=1)  # _w12_pair(wr, dg)'s; dg spent
+        slope = -a * (float(s[1]) + float(s[0]))
+        floor = 4.0 * eps * abs(a) * float(np.abs(dg, out=dg).sum())  # the slope's rounding level
+        return (0.0 if abs(slope) <= floor else slope), _w12_pair(wr, r)  # 0: _root stops there
 
     a = (wu[0] @ G + wu[1] @ DG) / gg
     slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * gdg)
@@ -190,10 +196,8 @@ def ray_from_constants(
     if not 1 <= mode_index < disc.n:
         raise ValueError(f"mode_index must be in [1, {disc.n - 1}], got {mode_index}")
     base = fn.normalize(DiscreteFunction(disc, np.ones(disc.n)), spec.q)
-    phi = laplace_eigenpairs(disc, mode_index + 1).eigenfunctions[mode_index].values
-    # project_tangent, its pairing summed node with mirror: the same bits on an even mode, 0 on odd
-    x = disc.quad_weights * fn.power_qm1(base.values, spec.q) * phi
-    phi = DiscreteFunction(disc, phi - 0.5 * float(np.sum(x + x[disc.mirror])) * base.values)
+    mode = laplace_eigenpairs(disc, mode_index + 1).eigenfunctions[mode_index]
+    phi = fn.project_tangent(spec, base, mode)  # exactly odd along an odd mode
     direction = DiscreteFunction(disc, phi.values / math.sqrt(w12_norm_sq(disc, phi)))
     if epsilons is None:
         epsilons = default_epsilons()

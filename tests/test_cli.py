@@ -527,3 +527,23 @@ def test_library_rejects_what_the_cli_passes_on(spec_name, call, message, reques
     with pytest.raises(ValueError, match=message) as raised:
         call(request.getfixturevalue(spec_name))
     assert not isinstance(raised.value, ConfigError)
+
+
+@pytest.mark.parametrize("mode_index", [2, 3])
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_bubble_scan_along_a_mode_with_its_nearest_bubble_at_b_0(tmp_path, n, mode_index):
+    # the envelope slope's root is b = 0: the search ends at its rounding level there
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--q", "4", "--family", "bubbles_and_constants", "--n", str(n),
+            "--mode-index", str(mode_index), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert all(0.0 < row["distance"] < 1.0 for row in json.loads(out.read_text())["rows"])
+
+
+def test_minimize_non_finite_value_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(opt, "minimize",
+                        lambda spec, init: opt.CriticalPoint(init, math.nan, 0.0, True, 0))
+    assert main(["minimize", "--n", "16", "--q", "4"]) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: minimization produced a non-finite value\n"

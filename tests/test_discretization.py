@@ -106,6 +106,10 @@ def test_eigenpairs_k_validation(sphere3_disc):
         laplace_eigenpairs(sphere3_disc, 0)
     with pytest.raises(ValueError):
         laplace_eigenpairs(sphere3_disc, sphere3_disc.n + 1)
+    n = sphere3_disc.n  # frame_eigenpairs on an (n - 1)-column frame: k in [1, n - 1]
+    for k in (0, n):
+        with pytest.raises(ValueError, match=rf"k must be in \[1, {n - 1}\], got {k}"):
+            dz.frame_eigenpairs(sphere3_disc, np.eye(n - 1), k, np.eye(n)[:, 1:])
 
 
 def test_eigenpairs_residual_guard(sphere3_disc, monkeypatch):
@@ -349,3 +353,11 @@ def test_sphere_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * n * 8 + 2**20
+
+
+@pytest.mark.parametrize("model", [make_sphere(3), make_product(4)])
+def test_spectral_matrix_columns_are_the_eigenfunctions(model):
+    sd = laplace_eigenpairs(build(model, 32), 5)
+    assert sd.matrix.shape == (32, 5) and sd.matrix.flags.c_contiguous
+    for j, f in enumerate(sd.eigenfunctions):
+        assert np.array_equal(sd.matrix[:, j], f.values)

@@ -293,3 +293,16 @@ def test_power_qm2_warns_near_zero():
     u = np.array([1.0, 1e-12, 1.0])
     with pytest.warns(fn.ConditioningWarning):
         fn.power_qm2(u, 2.5)
+
+
+@pytest.mark.parametrize("disc_name", ["sphere3_disc", "product4_disc"])
+def test_projection_at_a_constant_keeps_odd_modes_and_takes_the_mean(disc_name, request):
+    disc = request.getfixturevalue(disc_name)
+    spec = QuotientSpec(A=1.0, B=1.0, q=4.0, disc=disc)
+    c = fn.normalize(DiscreteFunction(disc, np.ones(disc.n)), spec.q)
+    for f in laplace_eigenpairs(disc, 6).eigenfunctions[1:]:
+        p = fn.project_tangent(spec, c, f)
+        if np.array_equal(f.values[disc.mirror], -f.values):  # odd: the pairing is exactly 0
+            assert np.array_equal(p.values, f.values)
+        mean = disc.integrate(f.values) / disc.model.total_volume
+        np.testing.assert_allclose(p.values, f.values - mean, rtol=0, atol=1e-14)

@@ -895,3 +895,53 @@ def test_start_scan(monkeypatch):
     assert sum(len(pool) for pool in pools) == 180
     assert sum(cp.converged for pool in pools for cp in pool) == 180
     assert sum(cp.iterations for pool in pools for cp in pool) <= 6500
+
+
+def _off_constant_spec_and_start(n=32):
+    spec = cst.default_spec(build(make_sphere(3), n), 4.0, a_factor=1.1)
+    return spec, bubble(spec.disc, 1.0, 0.5)
+
+
+def test_bordered_newton_falls_back_to_least_squares(monkeypatch):
+    spec, start = _off_constant_spec_and_start()
+    u = fn.normalize(start, spec.q).values
+    plain = (np.zeros((spec.disc.n, 0)), np.zeros(0))
+    want = opt._bordered_newton(spec, u, 2.0, *plain)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    got = opt._bordered_newton(spec, u, 2.0, *plain)
+    assert want[3] and got[3]
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-10)
+    assert got[1] == pytest.approx(want[1], rel=1e-10)
+
+
+def test_descent_reports_a_failed_triangular_solve(monkeypatch):
+    spec, start = _off_constant_spec_and_start()
+    monkeypatch.setattr(opt, "get_lapack_funcs", lambda names, arrays: (lambda lu, piv, b: (b, 2),))
+    with pytest.raises(ValueError, match="getrs failed with info 2"):
+        opt.minimize(spec, start)
+
+
+def test_descent_rejects_a_trial_off_the_constraint(monkeypatch):
+    spec, start = _off_constant_spec_and_start()
+    quotient_parts = fn.quotient_parts
+
+    def norm_doubled(spec, U, DU):
+        num, norm = quotient_parts(spec, U, DU)
+        return num, 2.0 * norm
+
+    monkeypatch.setattr(fn, "quotient_parts", norm_doubled)
+    with pytest.raises(ValueError, match="trial is not L\\^q-normalized"):
+        opt.minimize(spec, start)
+
+
+def test_random_starts_are_one_seeded_stream(sphere3_disc):
+    phis = laplace_eigenpairs(sphere3_disc, 6).matrix
+    three = opt.random_starts(phis, 5, 3)
+    assert len(three) == 3 and opt.random_starts(phis, 5, 0) == []
+    assert np.array_equal(opt.random_starts(phis, 5, 1)[0], three[0])  # count takes a prefix
+    assert not np.array_equal(three[0], three[1])
+    assert np.array_equal(three[0], _random_start(sphere3_disc, 5))  # 1 + Phi c, c_j ~ 0.5^j

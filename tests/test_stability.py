@@ -9,7 +9,8 @@ from sobolev_lab import constants as cst
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
-from sobolev_lab.discretization import DiscreteFunction, build, gradient_norm_sq, inner
+from sobolev_lab.discretization import (DiscreteFunction, build, gradient_norm_sq, inner,
+                                        laplace_eigenpairs)
 from sobolev_lab.geometry import make_product, make_sphere
 
 
@@ -576,3 +577,13 @@ def test_classify_aggregation():
         assert st.classify(slope) == "nondegenerate"
     for slope in (1.4, math.nan):
         assert st.classify(slope) == "inconclusive"
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_bubble_distance_of_an_even_function_is_finite(n):
+    # along an even mode the distance is even in b, so the envelope slope's root is b = 0
+    disc = build(make_sphere(3), n)
+    mode = laplace_eigenpairs(disc, 3).eigenfunctions[2].values
+    for eps in np.geomspace(1e-3, 1e-1, 25):
+        u = DiscreteFunction(disc, 1.0 + eps * mode)
+        assert 0.0 < st.distance_to_extremals(u, "bubbles_and_constants") < 1.0
