@@ -1,11 +1,12 @@
 """Quadrature, differentiation and weighted Laplacians on a ManifoldModel.
 
-The sphere-radial problem is mapped by x = cos t onto (-1, 1), where the
-volume density becomes the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes x_j and
-weights w_j come from the Gauss-Jacobi rule for that weight, so the vanishing
-boundary density is handled analytically, the barycentric weights of the
-nodes are (-1)^j sqrt((1 - x_j^2) w_j) in closed form (Wang, Huybrechs &
-Vandewalle, Math. Comp. 83, 2014), and so is d/dx's diagonal (d/2) x_j/(1 - x_j^2).
+The sphere-radial problem is mapped by x = cos t onto (-1, 1), where the volume density becomes
+the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes x_j and weights w_j come from the Gauss rule for
+that weight, so the vanishing boundary density is handled analytically; the weight is even, so
+the rule is solved on its nonnegative nodes from the half-size Jacobi matrix (Golub & Welsch
+1969) and mirrored, x exactly odd and w exactly even.  The nodes' barycentric weights are
+(-1)^j sqrt((1 - x_j^2) w_j) in closed form (Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014),
+and so is d/dx's diagonal (d/2) x_j/(1 - x_j^2).
 The radial Laplacian -Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer
 eigenfunctions and eigenvalues k*(k+d-1).  It is assembled in weak form,
 W(-Delta) = Dt^T W Dt with W the quadrature weights: for degree < n both sides
@@ -13,11 +14,11 @@ of int f_t g_t dVol = int (-Delta f) g dVol have degree <= 2n - 2, and the rule
 is exact to degree 2n - 1, so this is the collocation matrix in exact
 arithmetic, while in floating point W(-Delta) is symmetric by construction.
 Constants are projected out of both, Dt P and P^T W(-Delta) P, P = I - 1 w^T/Vol.
-The circle factor of the product model uses uniform nodes and Fourier
-differentiation; there -Delta f = -f''.  Both operators commute bit for bit with the
-reflection t -> pi - t (s -> -s on the circle) and Dt is exactly odd, so the sphere's Gram
-product and eigen-solve split into even and odd halves (Boyd 2001, ch. 8); the circle's
-circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
+The circle factor of the product model uses uniform nodes and Fourier differentiation; there
+-Delta f = -f''.  Both operators commute bit for bit with the reflection t -> pi - t (s -> -s on
+the circle), and Dt is exactly odd by construction (its bottom rows are its top rows mirrored and
+negated), so the sphere's Gram product and eigen-solve split into even and odd halves (Boyd 2001,
+ch. 8); the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant, eigh
-from scipy.special import roots_jacobi
+from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal
+from scipy.special import eval_gegenbauer
 
 from .geometry import ManifoldModel, ModelKind, unit_sphere_volume
 
@@ -94,6 +95,24 @@ class SpectralData:
         return np.column_stack([f.values for f in self.eigenfunctions])
 
 
+def _gegenbauer_rule(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Gegenbauer nodes, descending, and weights for (1 - x^2)^(lam - 1/2) on (-1, 1):
+    x exactly odd and w exactly even.  The Jacobi matrix has a zero diagonal and off-diagonals b_k,
+    so its square on e_1, e_3, .. is tridiagonal with the positive x_j^2 as eigenvalues (Golub &
+    Welsch, Math. Comp. 23, 1969); then one Newton step and the weights of scipy's roots_jacobi."""
+    h, k, b = n // 2, np.arange(1.0, n), np.zeros(n + 1)
+    b[1:n] = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))  # b_0 = b_n = 0
+    c = b[1 : 2 * h + 1]  # J^2 on e_1, e_3, ..: diagonal b_{2i+1}^2 + b_{2i+2}^2
+    x = np.sqrt(eigvalsh_tridiagonal(c[::2] ** 2 + c[1::2] ** 2, c[1:-1:2] * c[2::2])[::-1])
+    x = np.append(x, np.zeros(n % 2))  # at odd n x = 0, where C_n is exactly 0
+    y = eval_gegenbauer(n, lam, x)
+    dy = (-n * x * y + (n + 2 * lam - 1) * eval_gegenbauer(n - 1, lam, x)) / (1 - x * x)
+    x -= y / dy
+    w = 1.0 / (eval_gegenbauer(n - 1, lam, x) * dy)
+    x, w = (np.concatenate([v, sign * v[h - 1 :: -1]]) for v, sign in ((x, -1.0), (w, 1.0)))
+    return x, w * (math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0) / w.sum())
+
+
 def _fold_weights(qw: np.ndarray) -> np.ndarray:
     """sqrt(W) on the nodes that stand for the reflection's halves: the top n // 2, each with its
     mate n - 1 - j, and at odd n the middle node, its own mate, at half its weight."""
@@ -133,22 +152,19 @@ def build(model: ManifoldModel, n: int) -> Discretization:
         raise ValueError(f"need at least {MIN_NODES} nodes, got {n}")
     d = model.dim
     if model.kind is ModelKind.SPHERE_RADIAL:
-        a = (d - 2) / 2.0
-        x, wq = roots_jacobi(n, a, a)
-        # ascending t = arccos(x) means descending x
-        x = x[::-1].copy()
-        wq = wq[::-1].copy()
+        a, h, m = (d - 2) / 2.0, n // 2, (n + 1) // 2
+        x, wq = _gegenbauer_rule(n, a + 0.5)  # descending x: ascending t = arccos(x)
         t = np.arccos(x)
         qw = unit_sphere_volume(d - 1) * wq
-        sin_t = np.sin(t)  # sqrt(1 - x^2) without its cancellation at the poles
+        sin_t = np.sin(np.arccos(np.abs(x)))  # sqrt(1 - x^2) without its cancellation; even
         bw = (-1.0) ** np.arange(n) * sin_t * np.sqrt(wq)  # barycentric weights
-        Dt = x[:, None] - x[None, :]
-        np.fill_diagonal(Dt, 1.0)
-        np.divide(bw[None, :] / bw[:, None], Dt, out=Dt)
-        np.fill_diagonal(Dt, (a + 1.0) * x / sin_t**2)  # the closed-form diagonal of d/dx
-        Dt *= -sin_t[:, None]
-        Dt -= Dt[::-1, ::-1]  # exactly odd under the reflection
-        Dt *= 0.5
+        Dt = np.empty((n, n))  # the top m rows, then Dt[Ri, Rj] = -Dt[i, j]
+        top = np.subtract(x[:m, None], x, out=Dt[:m])
+        np.fill_diagonal(top, 1.0)
+        np.divide(bw / bw[:m, None], top, out=top)
+        np.fill_diagonal(top, (a + 1.0) * x[:m] / sin_t[:m] ** 2)  # d/dx's closed-form diagonal
+        top *= -sin_t[:m, None]
+        np.negative(Dt[h - 1 :: -1, ::-1], out=Dt[m:])  # bit for bit: x odd, sin_t and wq even
         s = Dt.sum(axis=1)
         Dt -= np.outer(0.5 * (s - s[::-1]), qw / qw.sum())  # Dt 1 = 0 to rounding, still odd
         L = _weak_laplacian(Dt, qw)

@@ -162,14 +162,18 @@ def power_qm2(u: np.ndarray, q: float) -> np.ndarray:
     return np.maximum(au, POWER_FLOOR) ** (q - 2.0)
 
 
+def tangent_pairing(spec: QuotientSpec, u: np.ndarray, phi: np.ndarray) -> float:
+    """int u^{q-1} phi dVol, summed node with mirror: exactly 0 for phi odd, u even."""
+    x = spec.disc.quad_weights * power_qm1(u, spec.q) * phi
+    return 0.5 * float(np.sum(x + x[spec.disc.mirror]))
+
+
 def project_tangent(
     spec: QuotientSpec, u: DiscreteFunction, phi: DiscreteFunction
 ) -> DiscreteFunction:
-    """L^2-project phi onto the tangent space {v : int u^{q-1} v dVol = 0}, the pairing summed
-    node with mirror (exactly 0 for phi odd, u even); at a constant u: phi less its W-mean."""
+    """L^2-project phi onto {v : tangent_pairing(u, v) = 0}; at a constant, phi less its W-mean."""
     check_normalized(spec, u)
-    x = spec.disc.quad_weights * power_qm1(u.values, spec.q) * phi.values
-    coef = 0.5 * float(np.sum(x + x[spec.disc.mirror]))
+    coef = tangent_pairing(spec, u.values, phi.values)
     return DiscreteFunction(spec.disc, phi.values - coef * u.values)
 
 

@@ -86,15 +86,16 @@ def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> Spec
     """Bottom-k eigenpairs of the constrained Hessian Z^T H Z on the tangent space.
 
     Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.  At an exact
-    constant (all values equal) J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the
-    pairs are -Delta's but mode 0, each tangent-projected (less its W-mean; an odd one as is).
+    constant J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the pairs are -Delta's
+    but mode 0, tangent-projected, valued int |Dt phi|^2: 3e-15 from j(j+d-1), eigh's 1.7e-12.
     """
     disc = spec.disc
     if not 1 <= k < disc.n:
         raise ValueError(f"k must be in [1, {disc.n - 1}], got {k}")
     if np.all(u.values == u.values[0]):
         theta, sd = 2.0 * fn.quotient(spec, u), laplace_eigenpairs(disc, k + 1)
-        lams = fn.shift(spec, 2.0 * spec.A * sd.eigenvalues[1:], u.values[:1], theta)
+        lap = disc.quad_weights @ (disc.diff_matrix @ sd.matrix[:, 1:]) ** 2
+        lams = fn.shift(spec, 2.0 * spec.A * lap, u.values[:1], theta)
         return SpectralData(lams, [fn.project_tangent(spec, u, f) for f in sd.eigenfunctions[1:]],
                             2.0 * spec.A * sd.residuals[1:])
     H, v = fn.hessian_matrix(spec, u), fn.tangent_reflector(spec, u)

@@ -94,11 +94,11 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     # ~0.5 / max(1, |e|) in s = artanh b, as |d_s log g| <= 2|e|) around each minimum in b;
     # Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance is
     # linear in |b - b*|, or until fit gives the slope as 0, within its rounding level
-    # 4 eps |a| sum |w r d_b g| (so a root at b = 0, along an even mode, ends), and gives the
-    # distance at the root (the lesser node's where the slope is 0 at one).  A grid end counts
-    # unless the distance falls from it into the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2
-    # is noise on a bubble) and D r taken: Du - a Dg loses up to 40x more digits, as D is O(n^2)
-    # on the O(1) parts of u and g.
+    # eps |a| (4 sum |w r d_b g| + sum w |D d_b g| |D||r|), the second term D r's (so a root at
+    # b = 0, along an even mode, ends), and gives the distance at the root (the lesser node's
+    # where the slope is 0 at one).  A grid end counts unless the distance falls from it into
+    # the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken:
+    # Du - a Dg loses up to 40x more digits, as D is O(n^2) on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
     e, eps = (2.0 - d) / 2.0, float(np.finfo(float).eps)
     if disc._bubble_grid is None:  # the grid pass depends on disc only: made once, kept on it
@@ -106,10 +106,10 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
         grid = np.concatenate([-half[:0:-1], half])  # odd in s, with b = 0 and the half's nodes
         base = 1.0 - np.outer(cos_t, grid)
         G, dG = base**e, (-e * cos_t)[:, None] * base ** (e - 1.0)
-        DG, DdG = D @ G, D @ dG
+        DG, DdG, w_abs_D = D @ G, D @ dG, w[:, None] * np.abs(D)
         gg, gdg = w @ (G * G + DG * DG), w @ (G * dG + DG * DdG)
-        object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg))
-    grid, G, dG, DG, DdG, gg, gdg = disc._bubble_grid
+        object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg, w_abs_D))
+    grid, G, dG, DG, DdG, gg, gdg, w_abs_D = disc._bubble_grid
     g, dg, r, wu = np.empty_like(u), np.empty_like(u), np.empty_like(u), w * u
 
     def fit(b: float) -> tuple[float, float]:  # (half slope, distance^2) at b
@@ -119,9 +119,10 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
         a = _w12_pair(wu, g) / _w12_pair(w * g, g)
         np.matmul(D, np.subtract(u[0], a * g[0], out=r[0]), out=r[1])
         wr = w * r
+        dr_floor = float(np.abs(dg[1]) @ (w_abs_D @ np.abs(r[0])))  # D r's: |D||r| row by row
         s = np.add.reduce(np.multiply(wr, dg, out=dg), axis=1)  # _w12_pair(wr, dg)'s; dg spent
         slope = -a * (float(s[1]) + float(s[0]))
-        floor = 4.0 * eps * abs(a) * float(np.abs(dg, out=dg).sum())  # the slope's rounding level
+        floor = eps * abs(a) * (4.0 * float(np.abs(dg, out=dg).sum()) + dr_floor)  # its rounding
         return (0.0 if abs(slope) <= floor else slope), _w12_pair(wr, r)  # 0: _root stops there
 
     a = (wu[0] @ G + wu[1] @ DG) / gg
@@ -250,8 +251,7 @@ def ray_scan(spec: QuotientSpec, ray: Ray, family: str = "constants") -> Experim
     estimated quadrature noise floor (the deficit of the base extremal).
     """
     disc = spec.disc
-    pairing = disc.quad_weights * fn.power_qm1(ray.base.values, spec.q) * ray.direction.values
-    tangency = abs(float(np.sum(pairing)))
+    tangency = abs(fn.tangent_pairing(spec, ray.base.values, ray.direction.values))
     if tangency > 1e-10:
         raise ValueError(f"ray direction is not tangent at base (pairing {tangency:.3e})")
     floor = NOISE_FLOOR_FACTOR * max(abs(fn.deficit(spec, ray.base)), 1e-15)

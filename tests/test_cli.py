@@ -540,6 +540,18 @@ def test_bubble_scan_along_a_mode_with_its_nearest_bubble_at_b_0(tmp_path, n, mo
     assert all(0.0 < row["distance"] < 1.0 for row in json.loads(out.read_text())["rows"])
 
 
+@pytest.mark.parametrize("mode_index", [2, 4])
+@pytest.mark.parametrize("n", [64, 65, 128, 129, 256, 512])
+@pytest.mark.parametrize("d,q", [(3, 4), (3, 5), (8, 2.5)])
+def test_bubble_scan_at_b_0_reads_the_rounding_of_d_r(tmp_path, d, q, n, mode_index):
+    # at b = 0 the slope of an even u is D r's rounding, up to 11x a floor that left it out
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--d", str(d), "--q", str(q), "--family", "bubbles_and_constants",
+            "--n", str(n), "--mode-index", str(mode_index), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert all(0.0 < row["distance"] < 1.0 for row in json.loads(out.read_text())["rows"])
+
+
 def test_minimize_non_finite_value_is_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr(opt, "minimize",
                         lambda spec, init: opt.CriticalPoint(init, math.nan, 0.0, True, 0))

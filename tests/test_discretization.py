@@ -322,6 +322,52 @@ def test_sphere_diff_matrix_matches_log_scale_weights(d, n):
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
+RULE_SIZES = [16, 17, 64, 65, 256, 257, 1024]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 16])
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gegenbauer_rule_matches_roots_jacobi(d, n):
+    # the rule from the half-size Jacobi matrix, mirrored, against scipy's full-size one
+    a = (d - 2) / 2.0
+    x, w = dz._gegenbauer_rule(n, a + 0.5)
+    want_x, want_w = (v[::-1] for v in roots_jacobi(n, a, a))
+    assert np.array_equal(x[::-1], -x) and np.array_equal(w[::-1], w)
+    assert np.max(np.abs(x - want_x)) <= 4e-16
+    assert np.max(np.abs(w / want_w - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gegenbauer_rule_is_the_chebyshev_u_rule_at_d_3(n):
+    # lam = 1: x_j = cos(j pi / (n + 1)), w_j = pi / (n + 1) sin^2(j pi / (n + 1)) exactly; the
+    # nodes as sin((n + 1 - 2j) pi / (2n + 2)), which keeps its digits near x = 0
+    x, w = dz._gegenbauer_rule(n, 1.0)
+    j = np.arange(1, n + 1)
+    theta = j * (math.pi / (n + 1))
+    assert np.max(np.abs(x - np.sin((n + 1 - 2 * j) * (math.pi / (2 * n + 2))))) <= 4e-16
+    assert np.max(np.abs(w / (math.pi / (n + 1) * np.sin(theta) ** 2) - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_raw_diff_matrix_is_exactly_odd(d, n):
+    # the barycentric formula on every row, before the row-sum correction: Dt[Ri, Rj] = -Dt[i, j]
+    # bit for bit, so build's top rows and their mirror image are this matrix
+    a = (d - 2) / 2.0
+    x, wq = dz._gegenbauer_rule(n, a + 0.5)
+    sin_t = np.sin(np.arccos(np.abs(x)))
+    bw = (-1.0) ** np.arange(n) * sin_t * np.sqrt(wq)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    raw = (bw[None, :] / bw[:, None]) / diff
+    np.fill_diagonal(raw, (a + 1.0) * x / sin_t**2)
+    raw *= -sin_t[:, None]
+    assert np.array_equal(raw[::-1, ::-1], -raw)
+    disc = build(make_sphere(d), n)
+    s, qw = raw.sum(axis=1), disc.quad_weights
+    assert np.array_equal(disc.diff_matrix, raw - np.outer(0.5 * (s - s[::-1]), qw / qw.sum()))
+
+
 @pytest.mark.parametrize("n", [16, 64, 512])
 def test_product_matrices_match_index_gather(n):
     model = make_product(4)

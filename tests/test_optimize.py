@@ -403,7 +403,8 @@ def test_hessian_spectrum_at_peak_memory():
 ])
 def test_closed_form_at_a_constant_matches_the_dense_compression(model, d, q, n, a_factor):
     # at a constant the tangent pairs are -Delta's but mode 0, shifted; the dense path's
-    # eigenvalues differ by the two solves' rounding (each within 1.2e-12 of j(j+d-1)'s)
+    # eigenvalues differ by its solve's rounding (within 1.5e-12 of j(j+d-1)'s, the closed
+    # form's Rayleigh quotients within 3e-15)
     spec = _degenerate_spec(model, d, q, n, a_factor)
     c = _constant(spec.disc, spec.q)
     got = opt.hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE)
@@ -419,6 +420,17 @@ def test_closed_form_at_a_constant_matches_the_dense_compression(model, d, q, n,
         got_k = sw * X[:, :2]
         want_k = sw * np.column_stack([f.values for f in want.eigenfunctions[:2]])
         assert np.max(np.abs(got_k @ got_k.T - want_k @ want_k.T)) <= 1e-10
+
+
+@pytest.mark.parametrize("d,q,n", [(3, 4.0, 1024), (3, 5.0, 1025), (8, 2.5, 1024), (16, 2.2, 512)])
+def test_closed_form_at_a_constant_is_the_exact_spectrum_to_rounding(d, q, n):
+    # -Delta's Rayleigh quotients through Dt, not the half-size solves' values (1.7e-12 off)
+    spec = _degenerate_spec("sphere", d, q, n)
+    c = _constant(spec.disc, spec.q)
+    got = opt.hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE).eigenvalues
+    j = np.arange(1, opt.SPECTRUM_SIZE + 1)
+    want = fn.shift(spec, 2.0 * spec.A * j * (j + d - 1.0), c.values[:1], 2.0 * fn.quotient(spec, c))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("model,d,q", [("sphere", 3, 4.0), ("product", 4, None)])

@@ -501,6 +501,24 @@ def test_ray_scan_matches_per_row_calls(model, d, q, n, family, direction):
         assert abs(row["distance"] - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("model,d,q,n,mode_index", [
+    ("sphere", 3, 4.0, 64, 1), ("sphere", 8, 2.5, 65, 3), ("product", 4, None, 64, 2),
+])
+def test_ray_scan_tangency_reads_exactly_0_along_an_odd_mode(model, d, q, n, mode_index,
+                                                             monkeypatch):
+    # the check sums its pairing node with mirror, as project_tangent does: 0, not noise
+    disc = build(make_sphere(d) if model == "sphere" else make_product(d), n)
+    spec = cst.default_spec(disc, fn.sobolev_conjugate(d) if q is None else q)
+    ray = st.ray_from_constants(spec, mode_index)
+    assert np.array_equal(ray.direction.values[disc.mirror], -ray.direction.values)
+    seen, real = [], fn.tangent_pairing
+    monkeypatch.setattr(fn, "tangent_pairing", lambda *args: seen.append(real(*args)) or seen[-1])
+    st.ray_scan(spec, ray)
+    assert seen == [0.0]
+    x = disc.quad_weights * fn.power_qm1(ray.base.values, spec.q) * ray.direction.values
+    assert real(spec, ray.base.values, ray.direction.values) == 0.5 * np.sum(x + x[disc.mirror])
+
+
 def test_ray_scan_rejects_non_tangent_direction(subcritical_spec):
     ray = st.ray_from_constants(subcritical_spec)
     bad = st.Ray(
