@@ -18,7 +18,8 @@ The circle factor of the product model uses uniform nodes and Fourier differenti
 -Delta f = -f''.  Both operators commute bit for bit with the reflection t -> pi - t (s -> -s on
 the circle), and Dt is exactly odd by construction (its bottom rows are its top rows mirrored and
 negated), so the sphere's Gram product and eigen-solve split into even and odd halves (Boyd 2001,
-ch. 8); the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
+ch. 8), each solved from its Gegenbauer modes by one shift-invert step and Rayleigh-Ritz (Parlett
+1998, ch. 14); the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal
+from scipy.linalg import cho_factor, cho_solve, circulant, eigh, eigvalsh_tridiagonal, qr
 from scipy.special import eval_gegenbauer
 
 from .geometry import ManifoldModel, ModelKind, unit_sphere_volume
@@ -95,14 +96,18 @@ class SpectralData:
         return np.column_stack([f.values for f in self.eigenfunctions])
 
 
+def _jacobi_offdiagonals(n: int, lam: float) -> np.ndarray:
+    """The Jacobi off-diagonals b_0 .. b_n, b_0 = b_n = 0: x p_j = b_{j+1} p_{j+1} + b_j p_{j-1}."""
+    k = np.arange(1.0, n)
+    return np.pad(np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1))), 1)
+
+
 def _gegenbauer_rule(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Gegenbauer nodes, descending, and weights for (1 - x^2)^(lam - 1/2) on (-1, 1):
     x exactly odd and w exactly even.  The Jacobi matrix has a zero diagonal and off-diagonals b_k,
     so its square on e_1, e_3, .. is tridiagonal with the positive x_j^2 as eigenvalues (Golub &
     Welsch, Math. Comp. 23, 1969); then one Newton step and the weights of scipy's roots_jacobi."""
-    h, k, b = n // 2, np.arange(1.0, n), np.zeros(n + 1)
-    b[1:n] = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))  # b_0 = b_n = 0
-    c = b[1 : 2 * h + 1]  # J^2 on e_1, e_3, ..: diagonal b_{2i+1}^2 + b_{2i+2}^2
+    h, c = n // 2, _jacobi_offdiagonals(n, lam)[1 : 2 * (n // 2) + 1]  # b_1 .. b_{2h}
     x = np.sqrt(eigvalsh_tridiagonal(c[::2] ** 2 + c[1::2] ** 2, c[1:-1:2] * c[2::2])[::-1])
     x = np.append(x, np.zeros(n % 2))  # at odd n x = 0, where C_n is exactly 0
     y = eval_gegenbauer(n, lam, x)
@@ -231,22 +236,32 @@ def frame_eigenpairs(
     return _spectral_data(disc, evals, (frame @ vecs) / np.sqrt(disc.quad_weights)[:, None], res)
 
 
+def _refine(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_bottom's triple for S >= 0 near span V: (S + I)^-1 V by Cholesky in place, Rayleigh-Ritz."""
+    Q = qr(cho_solve(cho_factor((S + np.eye(len(S))).T, overwrite_a=True), V), mode="economic")[0]
+    SQ = S @ Q
+    evals, Z = eigh(Q.T @ SQ)
+    vecs = Q @ Z
+    return evals, vecs, np.linalg.norm(SQ @ Z - vecs * evals, axis=0)
+
+
 def _halves(disc: Discretization, k: int) -> SpectralData:
-    """The k smallest eigenpairs of the sphere's -Delta, solved on its even and odd halves."""
+    """The sphere's k smallest -Delta eigenpairs, from its exact Gegenbauer modes, half by half."""
     n, h, L, qw = disc.n, disc.n // 2, disc.laplace_matrix, disc.quad_weights
-    a = _fold_weights(qw)
-    parts = []
-    # F^T S F, S = sqrt(W) L / sqrt(W), for the orthonormal frames F of the even half,
-    # (e_j + e_Rj)/sqrt(2) and e_mid, and of the odd half, (e_j - e_Rj)/sqrt(2), from slices of L
-    for sign, m in ((1.0, n - h), (-1.0, h)):
-        block = a[:m, None] * (L[:m, :m] + sign * L[:m, ::-1][:, :m]) * (a[:m] / qw[:m])
-        values, vecs, residuals = _bottom(block, min(k, m))
-        phis = np.zeros((n, len(values)))
-        phis[:m] = vecs * (math.sqrt(0.5) / a[:m, None])
-        phis[n - h :] = sign * phis[h - 1 :: -1]
-        parts.append((values, phis, residuals))
-    values, phis, residuals = (np.concatenate(x, axis=-1) for x in zip(*parts))
-    order = np.argsort(values, kind="stable")[:k]
+    a, m, x = _fold_weights(qw), n - h, np.cos(disc.nodes[: n - h])
+    b, P = _jacobi_offdiagonals(n, 0.5 * (disc.model.dim - 1)), np.zeros((k + 1, m))
+    P[1] = math.sqrt(2.0 / qw.sum()) * a  # P[j + 1] = sqrt(2) a p_j on the top nodes
+    for j in range(1, k):
+        P[j + 1] = (x * P[j] - b[j - 1] * P[j - 1]) / b[j]
+    values, residuals, phis = np.empty(k), np.empty(k), np.zeros((n, k))
+    # F^T S F, S = sqrt(W) L / sqrt(W), on the even frame (e_j + e_Rj)/sqrt(2), e_mid (even degrees)
+    # and the odd frame (e_j - e_Rj)/sqrt(2) (odd degrees, none at k = 1), from slices of L
+    for sign, s, i in ((1.0, m, 0), (-1.0, h, 1))[: min(k, 2)]:
+        block = a[:s, None] * (L[:s, :s] + sign * L[:s, ::-1][:, :s]) * (a[:s] / qw[:s])
+        values[i::2], vecs, residuals[i::2] = _refine(block, P[i + 1 :: 2, :s].T)
+        phis[:s, i::2] = vecs * (math.sqrt(0.5) / a[:s, None])
+    phis[n - h :] = phis[h - 1 :: -1] * (-1.0) ** np.arange(k)  # degree j has parity (-1)^j
+    order = np.argsort(values, kind="stable")
     return _spectral_data(disc, values[order], phis[:, order], residuals[order])
 
 

@@ -87,7 +87,7 @@ def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> Spec
 
     Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.  At an exact
     constant J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the pairs are -Delta's
-    but mode 0, tangent-projected, valued int |Dt phi|^2: 3e-15 from j(j+d-1), eigh's 1.7e-12.
+    but mode 0, tangent-projected, valued int |Dt phi|^2: 3e-15 from j(j+d-1), the solve's 4e-13.
     """
     disc = spec.disc
     if not 1 <= k < disc.n:

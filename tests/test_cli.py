@@ -428,13 +428,13 @@ def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
 
 
 def test_spectrum_residual_guard_is_numerical_failure(capsys, monkeypatch):
-    real = dz._bottom
+    real = dz._refine
 
-    def loose(S, k):
-        values, vecs, residuals = real(S, k)
+    def loose(S, V):
+        values, vecs, residuals = real(S, V)
         return values, vecs, residuals + 1.0
 
-    monkeypatch.setattr(dz, "_bottom", loose)
+    monkeypatch.setattr(dz, "_refine", loose)
     assert main(["spectrum", "--n", "64"]) == EXIT_NUMERICAL_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -113,13 +113,13 @@ def test_eigenpairs_k_validation(sphere3_disc):
 
 
 def test_eigenpairs_residual_guard(sphere3_disc, monkeypatch):
-    real = dz._bottom
+    real = dz._refine
 
-    def loose(S, k):
-        values, vecs, residuals = real(S, k)
+    def loose(S, V):
+        values, vecs, residuals = real(S, V)
         return values, vecs, residuals + 1.0
 
-    monkeypatch.setattr(dz, "_bottom", loose)
+    monkeypatch.setattr(dz, "_refine", loose)
     with pytest.raises(RuntimeError, match="eigen-solve residuals too large: 1.0"):
         laplace_eigenpairs(sphere3_disc, 4)
 
@@ -366,6 +366,41 @@ def test_raw_diff_matrix_is_exactly_odd(d, n):
     disc = build(make_sphere(d), n)
     s, qw = raw.sum(axis=1), disc.quad_weights
     assert np.array_equal(disc.diff_matrix, raw - np.outer(0.5 * (s - s[::-1]), qw / qw.sum()))
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_sphere_eigenpairs_match_a_dense_solve(d, n):
+    # the modal start and one shift-invert step on each half against one eigh of sqrt(W) L / sqrt(W)
+    disc = build(make_sphere(d), n)
+    sw, R = np.sqrt(disc.quad_weights), disc.mirror
+    S = sw[:, None] * disc.laplace_matrix / sw
+    ref_values, ref_vecs = eigh(S)
+    ref_res = np.linalg.norm(S @ ref_vecs - ref_vecs * ref_values, axis=0)
+    exact = np.arange(n) * (np.arange(n) + d - 1.0)
+    # the dense solve's own error, its rounding level on this grid, which moves 3x with the BLAS
+    # thread count at d = 3, n = 1024; the margin 8 is twice the largest ratio seen, 3.9 at k = n
+    bound = 8.0 * np.max(np.abs(ref_values - exact) / np.maximum(exact, d)) + 1e-13
+    for k in sorted({1, 2, 9, 16, n}):
+        sd = laplace_eigenpairs(disc, k)
+        j = np.arange(k)
+        assert np.max(np.abs(sd.eigenvalues - exact[:k]) / np.maximum(exact[:k], d)) <= bound
+        phis = sd.matrix
+        X = phis * sw[:, None]
+        ref = ref_vecs[:, :k] * np.sign(np.sum(ref_vecs[:, :k] * X, axis=0))
+        assert np.max(np.linalg.norm(X - ref, axis=0)) <= 1e-10
+        assert np.array_equal(phis[R], phis * (-1.0) ** j)
+        # at k = 1 and n = 1024 the product S v alone rounds above 1e-10 (the dense solve's 6e-10)
+        scale = max(1.0, sd.eigenvalues[-1])
+        assert np.max(sd.residuals) <= max(1e-10 * scale, np.max(ref_res[:k]))
+
+
+def test_sphere_eigenpairs_make_no_large_solve(monkeypatch):
+    # the two Ritz problems at n = 1024, k = 16 are 8 x 8: no half-size eigh of 512 rows
+    sizes, real = [], dz.eigh
+    monkeypatch.setattr(dz, "eigh", lambda S, *a, **kw: sizes.append(len(S)) or real(S, *a, **kw))
+    laplace_eigenpairs(build(make_sphere(3), 1024), 16)
+    assert sizes and max(sizes) <= 8
 
 
 @pytest.mark.parametrize("n", [16, 64, 512])

@@ -424,7 +424,7 @@ def test_closed_form_at_a_constant_matches_the_dense_compression(model, d, q, n,
 
 @pytest.mark.parametrize("d,q,n", [(3, 4.0, 1024), (3, 5.0, 1025), (8, 2.5, 1024), (16, 2.2, 512)])
 def test_closed_form_at_a_constant_is_the_exact_spectrum_to_rounding(d, q, n):
-    # -Delta's Rayleigh quotients through Dt, not the half-size solves' values (1.7e-12 off)
+    # -Delta's Rayleigh quotients through Dt, not the half-size solves' values (4.2e-13 off)
     spec = _degenerate_spec("sphere", d, q, n)
     c = _constant(spec.disc, spec.q)
     got = opt.hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE).eigenvalues
