@@ -19,7 +19,8 @@ The circle factor of the product model uses uniform nodes and Fourier differenti
 the circle), and Dt is exactly odd by construction (its bottom rows are its top rows mirrored and
 negated), so the sphere's Gram product and eigen-solve split into even and odd halves (Boyd 2001,
 ch. 8), each solved from its Gegenbauer modes by one shift-invert step and Rayleigh-Ritz (Parlett
-1998, ch. 14); the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
+1998, ch. 14; the Ritz step, _ritz, also serves the tangent Hessian's block iteration in optimize);
+the circle's circulant has Fourier eigenpairs in closed form (Trefethen 2000, ch. 3).
 """
 
 from __future__ import annotations
@@ -216,33 +217,23 @@ def _spectral_data(disc: Discretization, values, phis, residuals) -> SpectralDat
     return SpectralData(values, [DiscreteFunction(disc, phi) for phi in phis.T.copy()], residuals)
 
 
-def _bottom(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k smallest eigenvalues of symmetric S, their eigenvectors, and ||S c - lambda c||_2."""
-    evals, vecs = eigh(S, subset_by_index=[0, k - 1])
-    return evals, vecs, np.linalg.norm(S @ vecs - vecs * evals, axis=0)
-
-
-def frame_eigenpairs(
-    disc: Discretization, S: np.ndarray, k: int, frame: np.ndarray
-) -> SpectralData:
-    """Bottom-k eigenpairs of S, a sqrt(W)-frame operator on the orthonormal columns of frame.
-
-    An eigenvector c maps to the function (frame @ c) / sqrt(W), quadrature-orthonormal and
-    signed by _spectral_data; ||S c - lambda c||_2 is the W-norm of its eigen-equation's residual.
-    """
-    if not 1 <= k <= len(S):
-        raise ValueError(f"k must be in [1, {len(S)}], got {k}")
-    evals, vecs, res = _bottom(S, k)
-    return _spectral_data(disc, evals, (frame @ vecs) / np.sqrt(disc.quad_weights)[:, None], res)
+def _ritz(X: np.ndarray, apply, method: str = "evr") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz for symmetric S on span X, apply(Q) = S Q, solved by eigh's LAPACK `method`
+    ("evr" or "evd"): the Ritz values, their vectors and the residual vectors S c - lambda c."""
+    Q = qr(X, mode="economic", check_finite=False)[0]
+    SQ = apply(Q)
+    evals, Z = eigh(Q.T @ SQ, driver=method, check_finite=False)
+    vecs = Q @ Z
+    return evals, vecs, SQ @ Z - vecs * evals
 
 
 def _refine(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_bottom's triple for S >= 0 near span V: (S + I)^-1 V by Cholesky in place, Rayleigh-Ritz."""
-    Q = qr(cho_solve(cho_factor((S + np.eye(len(S))).T, overwrite_a=True), V), mode="economic")[0]
-    SQ = S @ Q
-    evals, Z = eigh(Q.T @ SQ)
-    vecs = Q @ Z
-    return evals, vecs, np.linalg.norm(SQ @ Z - vecs * evals, axis=0)
+    """Eigenpairs of S >= 0 near span V and their ||S c - lambda c||_2: one shift-invert step,
+    (S + I)^-1 V by Cholesky, then _ritz (Parlett 1998, ch. 14)."""
+    C = S.copy()
+    C.flat[:: len(S) + 1] += 1.0
+    evals, vecs, R = _ritz(cho_solve(cho_factor(C.T, overwrite_a=True), V), lambda Q: S @ Q)
+    return evals, vecs, np.linalg.norm(R, axis=0)
 
 
 def _halves(disc: Discretization, k: int) -> SpectralData:
@@ -256,8 +247,10 @@ def _halves(disc: Discretization, k: int) -> SpectralData:
     values, residuals, phis = np.empty(k), np.empty(k), np.zeros((n, k))
     # F^T S F, S = sqrt(W) L / sqrt(W), on the even frame (e_j + e_Rj)/sqrt(2), e_mid (even degrees)
     # and the odd frame (e_j - e_Rj)/sqrt(2) (odd degrees, none at k = 1), from slices of L
-    for sign, s, i in ((1.0, m, 0), (-1.0, h, 1))[: min(k, 2)]:
-        block = a[:s, None] * (L[:s, :s] + sign * L[:s, ::-1][:, :s]) * (a[:s] / qw[:s])
+    for fold, s, i in ((np.add, m, 0), (np.subtract, h, 1))[: min(k, 2)]:
+        block = fold(L[:s, :s], L[:s, ::-1][:, :s])
+        block *= a[:s, None]
+        block *= a[:s] / qw[:s]
         values[i::2], vecs, residuals[i::2] = _refine(block, P[i + 1 :: 2, :s].T)
         phis[:s, i::2] = vecs * (math.sqrt(0.5) / a[:s, None])
     phis[n - h :] = phis[h - 1 :: -1] * (-1.0) ** np.arange(k)  # degree j has parity (-1)^j

@@ -24,12 +24,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, lu_factor, lu_solve, qr
 
 from . import functionals as fn
-from .discretization import (DiscreteFunction, SpectralData, frame_eigenpairs, inner,
+from .discretization import (DiscreteFunction, SpectralData, _ritz, _spectral_data, inner,
                              laplace_eigenpairs)
 from .functionals import QuotientSpec
+from .geometry import ModelKind
 
 KERNEL_THRESHOLD = 1e-6
 NEWTON_MAX = 60
@@ -44,9 +45,12 @@ SPECTRUM_SIZE = 8
 STALL_STEPS = 3
 KERNEL_GAP = 1e-2
 KERNEL_STEPS = 2
+TANGENT_BLOCK = 16  # hessian_spectrum_at off a constant: the block beyond k, its cap on solves
+TANGENT_STEPS = 50
 # Newton stops once its residual is below FLOOR_FACTOR * eps * ||terms||_W,
 # the rounding floor of the stationarity equation at the current iterate.
 FLOOR_FACTOR = 10.0
+EPS = np.finfo(float).eps
 MIN_DAMPING = 1e-6
 # multistart_minimize: values within this relative distance of the lowest tie
 RANK_RTOL = 1e-12
@@ -83,30 +87,58 @@ def certify(spec: QuotientSpec, u: DiscreteFunction) -> float:
 
 
 def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> SpectralData:
-    """Bottom-k eigenpairs of the constrained Hessian Z^T H Z on the tangent space.
+    """Bottom-k eigenpairs of the constrained Hessian: J(u, 2Q) on the tangent space.
 
-    Z = (I - 2 v v^T)[:, 1:], so Z^T H Z is a block of a rank-two update of H.  At an exact
-    constant J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the pairs are -Delta's
-    but mode 0, tangent-projected, valued int |Dt phi|^2: 3e-15 from j(j+d-1), the solve's 4e-13.
+    At an exact constant J(u, 2Q) = 2A(-Delta) + a scalar on the W-complement of 1: the pairs are
+    -Delta's but mode 0, tangent-projected, valued int |Dt phi|^2: 3e-15 from j(j+d-1), the solve's
+    4e-13.  Elsewhere, shift-invert block iteration (Parlett 1998, ch. 14) from the smooth modes
+    1 .. k + TANGENT_BLOCK on S = hessian_matrix = 2A(-Delta) + pot: one Cholesky of S - sigma,
+    sigma < min(pot), the constraint g^T x = 0 (g ~ sqrt(W) u^{q-1}) by a Schur complement on
+    C^-1 g, a QR per solve, and Rayleigh-Ritz (S Q through L) where the Ritz values predict every
+    residual of the bottom k below its rounding floor FLOOR_FACTOR eps ||(|S| + |lambda|) |c|||,
+    as _floor's; at most TANGENT_STEPS solves.
     """
-    disc = spec.disc
-    if not 1 <= k < disc.n:
-        raise ValueError(f"k must be in [1, {disc.n - 1}], got {k}")
+    disc, n = spec.disc, spec.disc.n
+    if not 1 <= k < n:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     if np.all(u.values == u.values[0]):
         theta, sd = 2.0 * fn.quotient(spec, u), laplace_eigenpairs(disc, k + 1)
         lap = disc.quad_weights @ (disc.diff_matrix @ sd.matrix[:, 1:]) ** 2
         lams = fn.shift(spec, 2.0 * spec.A * lap, u.values[:1], theta)
         return SpectralData(lams, [fn.project_tangent(spec, u, f) for f in sd.eigenfunctions[1:]],
                             2.0 * spec.A * sd.residuals[1:])
-    H, v = fn.hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
-    Hv, vH = H @ v, v @ H
-    # H - 2 (v vH^T + Hv v^T) + 4 (v.Hv) v v^T in place, with one n x n buffer
-    outer = np.outer(v, vH)
-    outer += np.outer(Hv, v)
-    H -= np.multiply(outer, 2.0, out=outer)
-    H += np.multiply(np.outer(v, v, out=outer), 4.0 * float(v @ Hv), out=outer)
-    del outer  # freed before tangent_frame builds its n x (n-1) frame
-    return frame_eigenpairs(spec.disc, H[1:, 1:], k, fn.tangent_frame(spec, u))
+    L, sw, A2 = disc.laplace_matrix, np.sqrt(disc.quad_weights)[:, None], 2.0 * spec.A
+    pot = fn.shift(spec, 0.0, u.values, 2.0 * fn.quotient(spec, u))[:, None]
+    C, sigma = fn.hessian_matrix(spec, u), float(pot.min()) - 1.0  # -Delta >= 0 in W
+    abs_S = np.abs(C)
+    C.flat[:: n + 1] -= sigma
+    factor = cho_factor(C.T, overwrite_a=True, check_finite=False)  # Fortran order: in place
+    j = np.arange(min(k + TANGENT_BLOCK, n - 1) + 1)
+    if disc.model.kind is ModelKind.SPHERE_RADIAL:  # T_j(cos t); on the circle 1, cos s, sin s, ..
+        V = np.cos(np.outer(disc.nodes, j))
+    else:
+        V = np.cos(np.outer(2.0 * math.pi / disc.model.length * disc.nodes, (j + 1) // 2)
+                   - 0.5 * math.pi * (j % 2 == 0) * (j > 0))
+    V = qr(sw * V, mode="economic", check_finite=False)[0]
+    V[:, 0] = g = sw[:, 0] * fn.power_qm1(u.values, spec.q)
+    X, excess, rate = cho_solve(factor, V, check_finite=False), 0.0, 0.0
+    Cg, X = X[:, 0] / (g @ X[:, 0]), X[:, 1:]  # the constant's column solved for C^-1 g
+    for _ in range(TANGENT_STEPS):
+        X -= np.outer(Cg, g @ X)
+        excess *= rate  # the floor excess predicted for X
+        if excess > 1.0:
+            V = qr(X, mode="economic", check_finite=False)[0]
+        else:  # divide and conquer: MRRR took 3x as long on the circle's (cos, sin) pairs
+            evals, V, R = _ritz(X, lambda Q: A2 * sw * (L @ (Q / sw)) + pot * Q, "evd")
+            R -= np.outer(g, g @ R) / (g @ g)  # the tangent part of S c - lambda c
+            res, Y = np.linalg.norm(R[:, :k], axis=0), np.abs(V[:, :k])
+            floor = FLOOR_FACTOR * EPS * np.linalg.norm(abs_S @ Y + np.abs(evals[:k]) * Y, axis=0)
+            excess = np.max(res / floor)
+            if excess <= 1.0:
+                return _spectral_data(disc, evals[:k], V[:, :k] / sw, res)
+            rate = (evals[k - 1] - sigma) / (evals[-1] - sigma)  # the k-th residual's, per solve
+        X = cho_solve(factor, V, check_finite=False)
+    raise RuntimeError(f"tangent spectrum above its rounding floor after {TANGENT_STEPS} solves")
 
 
 def kernel_basis_at(spectrum: SpectralData) -> list:
@@ -157,7 +189,7 @@ def _floor(spec: QuotientSpec, x: np.ndarray, abs_L: np.ndarray):
     terms = (2.0 * spec.A * (abs_L @ au.T).T + 2.0 * spec.B * au
              + np.abs(x[..., n : n + 1]) * au ** (spec.q - 1.0))
     norm = np.sqrt(np.add.reduce(spec.disc.quad_weights * terms * terms, axis=-1))
-    return FLOOR_FACTOR * np.finfo(float).eps * norm
+    return FLOOR_FACTOR * EPS * norm
 
 
 def _bordered_newton(spec: QuotientSpec, u: np.ndarray, theta: float, K: np.ndarray,

@@ -106,10 +106,6 @@ def test_eigenpairs_k_validation(sphere3_disc):
         laplace_eigenpairs(sphere3_disc, 0)
     with pytest.raises(ValueError):
         laplace_eigenpairs(sphere3_disc, sphere3_disc.n + 1)
-    n = sphere3_disc.n  # frame_eigenpairs on an (n - 1)-column frame: k in [1, n - 1]
-    for k in (0, n):
-        with pytest.raises(ValueError, match=rf"k must be in \[1, {n - 1}\], got {k}"):
-            dz.frame_eigenpairs(sphere3_disc, np.eye(n - 1), k, np.eye(n)[:, 1:])
 
 
 def test_eigenpairs_residual_guard(sphere3_disc, monkeypatch):

@@ -1,8 +1,8 @@
 """Every module-level import in the package and the tests is read somewhere,
 the package imports its own modules at module level only, the CLI is the
 only package module that imports json or csv: it alone formats output, no
-package module imports or loads scipy.optimize, and the CLI wraps no
-ValueError in a ConfigError."""
+package module imports or loads scipy.optimize, no package module calls eigh
+with subset_by_index, and the CLI wraps no ValueError in a ConfigError."""
 
 import ast
 import os
@@ -74,6 +74,16 @@ def test_no_package_module_imports_scipy_optimize():
                           if m.startswith("scipy.optimize")]
     assert importers == []
 
+
+def test_no_package_module_calls_a_subset_eigh():
+    # the spectra come from shift-invert solves and Rayleigh-Ritz problems of a block's size;
+    # a dense bottom-k eigh(subset_by_index) on the whole grid is not to come back beside them
+    calls = []
+    for path in sorted((ROOT / "src" / "sobolev_lab").glob("*.py")):
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "subset_by_index" for kw in node.keywords)]
+    assert calls == []
 
 
 def test_the_cli_wraps_no_value_error_in_a_config_error():

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigh, lu_factor, lu_solve
 
 from sobolev_lab import constants as cst
-from sobolev_lab import discretization as dz
 from sobolev_lab import functionals as fn
 from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
@@ -19,7 +18,6 @@ from sobolev_lab.discretization import (
     DiscreteFunction,
     SpectralData,
     build,
-    frame_eigenpairs,
     inner,
     laplace_eigenpairs,
 )
@@ -54,7 +52,7 @@ def test_certify_bubble_critical(critical_sphere_spec):
 
 @pytest.mark.parametrize("spec_name", ["subcritical_spec", "critical_product_spec"])
 def test_hessian_spectrum_matches_dense_compression(spec_name, request):
-    # Z^T H Z by dense products against the rank-two update in hessian_spectrum_at
+    # Z^T H Z by dense products against the shift-invert iteration in hessian_spectrum_at
     spec = request.getfixturevalue(spec_name)
     disc = spec.disc
     phi = laplace_eigenpairs(disc, 3).eigenfunctions[2].values
@@ -71,9 +69,14 @@ def test_hessian_spectrum_matches_dense_compression(spec_name, request):
 
 
 def test_hessian_spectrum_k_validation(subcritical_spec):
-    c = _constant(subcritical_spec.disc, subcritical_spec.q)
-    with pytest.raises(ValueError):
-        opt.hessian_spectrum_at(subcritical_spec, c, 0)
+    # k in [1, n - 1], the tangent space's dimension, at a constant and off one
+    disc, n = subcritical_spec.disc, subcritical_spec.disc.n
+    c = _constant(disc, subcritical_spec.q)
+    u = fn.normalize(DiscreteFunction(disc, 1.0 + 0.2 * np.cos(disc.nodes)), subcritical_spec.q)
+    for point in (c, u):
+        for k in (0, n):
+            with pytest.raises(ValueError, match=rf"k must be in \[1, {n - 1}\], got {k}"):
+                opt.hessian_spectrum_at(subcritical_spec, point, k)
 
 
 def test_kernel_basis_degenerate_constant(subcritical_spec):
@@ -335,10 +338,20 @@ def _out_of_place_hessian_matrix(spec, u):
 
 
 def _out_of_place_hessian_spectrum_at(spec, u, k):
+    """hessian_spectrum_at's solve fed the out-of-place Hessian."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fn, "hessian_matrix", _out_of_place_hessian_matrix)
+        return opt.hessian_spectrum_at(spec, u, k)
+
+
+def _dense_compression(spec, u, k):
+    """Bottom-k eigenvalues of Z^T H Z by a dense eigh, Z = tangent_frame, and their functions
+    Z c / sqrt(W): Z^T H Z is the trailing block of the reflected (I - 2vv^T) H (I - 2vv^T)."""
     H, v = _out_of_place_hessian_matrix(spec, u), fn.tangent_reflector(spec, u)
     Hv, vH = H @ v, v @ H
     HRH = H - 2.0 * (np.outer(v, vH) + np.outer(Hv, v)) + 4.0 * float(v @ Hv) * np.outer(v, v)
-    return frame_eigenpairs(spec.disc, HRH[1:, 1:], k, fn.tangent_frame(spec, u))
+    values, vecs = eigh(HRH[1:, 1:], subset_by_index=[0, k - 1])
+    return values, fn.tangent_frame(spec, u) @ vecs / np.sqrt(spec.disc.quad_weights)[:, None]
 
 
 def _copied_bordered_jacobian(spec, u, theta, K):
@@ -384,7 +397,8 @@ def test_in_place_updates_are_bit_identical(model, d, q, n):
 
 
 def test_hessian_spectrum_at_peak_memory():
-    # the Hessian, one rank-two buffer and its temporary: at most three n x n arrays at once
+    # the shifted Hessian, factored in place, and |S|: two n x n arrays, and about eight n x p
+    # blocks of the iteration, p = k + TANGENT_BLOCK + 1 (measured: 2 n^2 + 7.96 n p doubles)
     n = 1024
     spec = _degenerate_spec("sphere", 3, 4.0, n)
     u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
@@ -394,7 +408,56 @@ def test_hessian_spectrum_at_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * n * 8 + 2**20
+    p = opt.SPECTRUM_SIZE + opt.TANGENT_BLOCK + 1
+    assert peak <= 2 * n * n * 8 + 8 * n * p * 8 + 2**20
+
+
+def _matches_the_dense_compression(spec, u, k):
+    """hessian_spectrum_at(spec, u, k) and the dense compression's Rayleigh quotients, after
+    checking they agree within 1e-12 of the largest and the eigenfunctions are tangent."""
+    got = opt.hessian_spectrum_at(spec, u, k)
+    Y = np.sqrt(spec.disc.quad_weights)[:, None] * _dense_compression(spec, u, k)[1]
+    H = _out_of_place_hessian_matrix(spec, u)
+    want = np.einsum("ij,ij->j", Y, H @ Y) / np.einsum("ij,ij->j", Y, Y)
+    assert np.max(np.abs(got.eigenvalues - want)) <= 1e-12 * np.max(np.abs(want))
+    tangency = got.matrix.T @ (spec.disc.quad_weights * fn.power_qm1(u.values, spec.q))
+    assert np.max(np.abs(tangency)) <= 1e-12
+    return got.eigenvalues, want
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("b", [0.3, 0.6, 0.9])
+def test_tangent_spectrum_of_a_bubble_matches_the_dense_compression(b, n):
+    # valued by Rayleigh quotients of the dense eigh's vectors: its own eigenvalues are up to
+    # 1.2e-12 of the largest off them at n = 1024, the shift-invert solve's 7.1e-14
+    spec = cst.default_spec(build(make_sphere(3), n), 6.0)
+    _matches_the_dense_compression(spec, fn.normalize(bubble(spec.disc, 1.0, b), 6.0),
+                                   opt.SPECTRUM_SIZE)
+
+
+def test_tangent_spectrum_below_zero_is_the_bottom_one():
+    # A = 0.9 A_opt: one ulp off the constant the first eigenvalue is negative; the shift lies
+    # below the spectrum, so the solve returns the bottom k, not the k nearest 0
+    spec = _degenerate_spec("sphere", 3, 4.0, 256, 0.9)
+    ulp = _constant(spec.disc, spec.q).values.copy()
+    ulp[85] = np.nextafter(ulp[85], 2.0)
+    got, want = _matches_the_dense_compression(spec, DiscreteFunction(spec.disc, ulp), 6)
+    assert got[0] < -0.05 and want[0] < -0.05 and np.all(got[1:] > 0.0)
+
+
+def test_tangent_spectrum_of_the_whole_tangent_space():
+    # n = 16, k = n - 1: the block is the whole tangent space
+    spec = _degenerate_spec("sphere", 3, 4.0, 16, 1.1)
+    u = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * np.cos(spec.disc.nodes)), spec.q)
+    _matches_the_dense_compression(spec, u, 15)
+
+
+def test_tangent_spectrum_raises_at_its_cap(monkeypatch):
+    # the b = 0.9 bubble takes more than one solve to reach its rounding floor
+    spec = cst.default_spec(build(make_sphere(3), 256), 6.0)
+    monkeypatch.setattr(opt, "TANGENT_STEPS", 1)
+    with pytest.raises(RuntimeError, match="above its rounding floor after 1 solves"):
+        opt.hessian_spectrum_at(spec, fn.normalize(bubble(spec.disc, 1.0, 0.9), 6.0), 8)
 
 
 @pytest.mark.parametrize("model,d,q,n,a_factor", [
@@ -402,15 +465,15 @@ def test_hessian_spectrum_at_peak_memory():
     ("sphere", 3, 4.0, 1024, 1.1),
 ])
 def test_closed_form_at_a_constant_matches_the_dense_compression(model, d, q, n, a_factor):
-    # at a constant the tangent pairs are -Delta's but mode 0, shifted; the dense path's
+    # at a constant the tangent pairs are -Delta's but mode 0, shifted; the dense compression's
     # eigenvalues differ by its solve's rounding (within 1.5e-12 of j(j+d-1)'s, the closed
     # form's Rayleigh quotients within 3e-15)
     spec = _degenerate_spec(model, d, q, n, a_factor)
     c = _constant(spec.disc, spec.q)
     got = opt.hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE)
-    want = _out_of_place_hessian_spectrum_at(spec, c, opt.SPECTRUM_SIZE)
-    scale = np.max(np.abs(want.eigenvalues))
-    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 2e-12 * scale
+    want, want_funcs = _dense_compression(spec, c, opt.SPECTRUM_SIZE)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got.eigenvalues - want)) <= 2e-12 * scale
     assert np.max(got.residuals) <= 1e-8 * scale
     X = np.column_stack([f.values for f in got.eigenfunctions])
     tangency = X.T @ (spec.disc.quad_weights * fn.power_qm1(c.values, spec.q))
@@ -418,7 +481,7 @@ def test_closed_form_at_a_constant_matches_the_dense_compression(model, d, q, n,
     if model == "product":  # the kernel plane (cos_1, sin_1), up to a rotation in the dense one
         sw = np.sqrt(spec.disc.quad_weights)[:, None]
         got_k = sw * X[:, :2]
-        want_k = sw * np.column_stack([f.values for f in want.eigenfunctions[:2]])
+        want_k = sw * want_funcs[:, :2]
         assert np.max(np.abs(got_k @ got_k.T - want_k @ want_k.T)) <= 1e-10
 
 
@@ -435,21 +498,21 @@ def test_closed_form_at_a_constant_is_the_exact_spectrum_to_rounding(d, q, n):
 
 @pytest.mark.parametrize("model,d,q", [("sphere", 3, 4.0), ("product", 4, None)])
 def test_only_an_exact_constant_skips_the_tangent_solve(model, d, q, monkeypatch):
-    # every value equal: no eigen-solve of size n - 1; one ulp off, the dense path, whose
+    # every value equal: no factorization of size n; one ulp off, the shift-invert solve, whose
     # spectrum the closed form matches
     spec = _degenerate_spec(model, d, q, 64)
-    n, sizes, real = spec.disc.n, [], dz._bottom
-    monkeypatch.setattr(dz, "_bottom", lambda S, k: sizes.append(len(S)) or real(S, k))
+    n, sizes, real = spec.disc.n, [], opt.cho_factor
+    monkeypatch.setattr(opt, "cho_factor", lambda a, **kw: sizes.append(len(a)) or real(a, **kw))
     c = _constant(spec.disc, spec.q)
     closed = opt.hessian_spectrum_at(spec, c, 6)
-    assert n - 1 not in sizes
+    assert n not in sizes
     ulp = c.values.copy()
     ulp[n // 3] = np.nextafter(ulp[n // 3], 2.0)
     moved = fn.normalize(DiscreteFunction(spec.disc, 1.0 + 0.2 * _first_mode(spec.disc)), spec.q)
     for u in (DiscreteFunction(spec.disc, ulp), moved):
         sizes.clear()
         opt.hessian_spectrum_at(spec, u, 6)
-        assert sizes == [n - 1]
+        assert sizes == [n]
     near = opt.hessian_spectrum_at(spec, DiscreteFunction(spec.disc, ulp), 6).eigenvalues
     assert np.max(np.abs(closed.eigenvalues - near)) <= 1e-12 * np.max(np.abs(near))
 
