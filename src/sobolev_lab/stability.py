@@ -2,12 +2,12 @@
 
 The central objects are rays u_eps = base + eps * direction leaving a normalized extremal,
 the Sobolev deficit Q(u) - 1, and the normalized W^{1,2} distance to a family of extremals:
-the constants, or with them the one bubble family b in (-1, 1), whose nearest b is bracketed
-on a grid and solved by Chandrupatla's method (`_root`), distance at the root.  Both families
-are reflection-invariant, so u and its mirror image get the same bits.  A scan takes its rows as
-one stack: one product with D, one quotient_parts call and the constants' distance at once, the
-bubbles' row by row.  A log-log fit of deficit against distance estimates the stability exponent:
-2 for non-degenerate specs, 4 in the degenerate cases (sphere sub-critical, product critical).
+the constants, or with them the one bubble family b in (-1, 1), whose nearest b is bracketed on
+a grid and solved from its end slopes by Chandrupatla's method (`_root`), one distance at the
+root.  Both families are reflection-invariant: u and its mirror image get the same bits.  A scan
+takes its rows as one stack: one product with D, one quotient_parts call and the constants'
+distance at once, the bubbles' row by row.  A log-log fit of deficit against distance gives the
+stability exponent: 2 if non-degenerate, 4 if degenerate (sphere sub-critical, product critical).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ CLASSIFY_MARGIN = 0.5
 MIN_FIT_POINTS = 5  # a ray scan fits its exponent to at least this many points
 LOJASIEWICZ_SAMPLING = np.geomspace(0.02, 0.2, 10)
 BUBBLE_END = math.atanh(1.0 - 1e-6)  # the bubbles' |b| <= 1 - 1e-6, in s = artanh b
-BUBBLE_STEPS = 15  # steps of their search grid in s, times max(1, |e|); see _distance_to_bubbles
+BUBBLE_STEPS = 30  # steps of their search grid in s, times max(1, |e|); see _distance_to_bubbles
 
 
 def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
@@ -43,42 +43,36 @@ def bubble(disc: Discretization, a: float, b: float) -> DiscreteFunction:
     return DiscreteFunction(disc, a * fn.bubble_profile(np.cos(disc.nodes), b, disc.model.dim))
 
 
-def _w12_pair(wf: np.ndarray, h: np.ndarray) -> float:
-    # W^{1,2} pairing of rows [f; Df] times the weights with rows [h; Dh], summed
-    # as gradient_norm_sq + inner (np.add.reduce is np.sum's), so bit for bit equal
-    s = np.add.reduce(wf * h, axis=1)
-    return float(s[1]) + float(s[0])
-
-
 def w12_norm_sq(disc: Discretization, u: DiscreteFunction) -> float:
     _check_same(disc, u)
     uu = np.stack([u.values, disc.diff_matrix @ u.values])
-    return _w12_pair(disc.quad_weights * uu, uu)
+    s = np.add.reduce(disc.quad_weights * uu * uu, axis=1)  # np.sum's, row by row: the W^{1,2}
+    return float(s[1]) + float(s[0])  # norm^2 as gradient_norm_sq + inner, bit for bit
 
 
-def _root(f, lo: float, hi: float) -> float:
-    """Distance^2 at the root in [lo, hi] of the slope, f(b) = (slope, distance^2): Chandrupatla's
-    method (Adv. Eng. Softw. 28, 1997) reads it where f gives a slope of 0 (f's rounding level), or
-    at the bracket end of smaller |slope| once 4 eps |b| + 1e-300 exceeds half the bracket;
-    RuntimeError after 100 steps.  Unbracketing ends or a NaN slope anywhere: the lesser end's."""
-    x1, x2, t = float(lo), float(hi), 0.5
-    (f1, d1), (f2, d2) = f(x1), f(x2)
-    lesser = min(d1, d2)
+def _root(slope, dist2, x1: float, f1: float, x2: float, f2: float) -> float:
+    """dist2 at the root in [x1, x2] of slope, from the end slopes f1, f2: Chandrupatla's method
+    (Adv. Eng. Softw. 28, 1997) from their regula falsi point, read where slope gives 0 (its
+    rounding level), or at the point of smaller |slope| once 4 eps |b| + 1e-300 exceeds half the
+    bracket; RuntimeError after 100 steps.  Unbracketing ends or a NaN slope: the lesser end's."""
+    lo, hi, eps = x1, x2, float(np.finfo(float).eps)
     if not (f1 < 0 < f2 or f2 < 0 < f1):  # signs, not the product, which can underflow to 0
-        return lesser
+        return min(dist2(hi), dist2(lo))  # hi first: a b = 0 end, whose fit is held, is hi
+    tl = (4.0 * eps * max(abs(x1), abs(x2)) + 1e-300) / abs(x2 - x1)
+    t = min(1.0 - tl, max(tl, f1 / (f1 - f2)))  # the regula falsi point, off the ends
     for _ in range(100):
         xt = x1 + t * (x2 - x1)
-        ft, dt = f(xt)
+        ft = slope(xt)
         if math.isnan(ft):
-            return lesser
+            return min(dist2(hi), dist2(lo))
         if (ft < 0) != (f1 < 0):  # xt brackets the root with x1, so x1 and x2 swap
-            x1, f1, d1, x2, f2, d2 = x2, f2, d2, x1, f1, d1
-        x3, f3, x1, f1, d1 = x1, f1, xt, ft, dt  # x3 is the point that left the bracket
-        xm, fm, dm = (x1, f1, d1) if abs(f1) < abs(f2) else (x2, f2, d2)
-        tl = (4.0 * float(np.finfo(float).eps) * abs(xm) + 1e-300) / abs(x2 - x1)  # least step
-        if fm == 0 or tl > 0.5:
-            return dm
-        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            x1, f1, x2, f2 = x2, f2, x1, f1
+        x3, f3, x1, f1 = x1, f1, xt, ft  # x3 is the point that left the bracket
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol = 4.0 * eps * abs(xm) + 1e-300  # the least step
+        if fm == 0 or 2.0 * tol > abs(x2 - x1):
+            return dist2(xm)
+        tl, xi, phi = tol / abs(x2 - x1), (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
         t = 0.5  # bisection, unless the inverse quadratic through the three points is safe
         if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
             t = (f1 / (f1 - f2) * f3 / (f3 - f2)
@@ -91,45 +85,56 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
     # W^{1,2} least squares on raw rows [f; Df] over the one family b in (-1, 1), b < 0 the
     # bubbles at t = pi.  a(b) is closed form, and the envelope derivative
     # d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to + on the grid (step
-    # ~0.5 / max(1, |e|) in s = artanh b, as |d_s log g| <= 2|e|) around each minimum in b;
-    # Chandrupatla's method (_root) solves it to 8 eps |b|, as an exact bubble's distance is
-    # linear in |b - b*|, or until fit gives the slope as 0, within its rounding level
-    # eps |a| (4 sum |w r d_b g| + sum w |D d_b g| |D||r|), the second term D r's (so a root at
-    # b = 0, along an even mode, ends), and gives the distance at the root (the lesser node's
-    # where the slope is 0 at one).  A grid end counts unless the distance falls from it into
-    # the grid.  r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken:
-    # Du - a Dg loses up to 40x more digits, as D is O(n^2) on the O(1) parts of u and g.
+    # ~0.25 / max(1, |e|) in s = artanh b, as |d_s log g| <= 2|e|) around each minimum in b;
+    # Chandrupatla's method (_root) from the grid's end slopes (b = 0's fitted: an even u's is
+    # rounding) solves it to 8 eps |b|, as an exact bubble's distance is linear in |b - b*|, or
+    # until fit gives the slope as 0, within its rounding level eps |a| (4 sum |w r d_b g| +
+    # sum w |D d_b g| |D||r|), the second term D r's (so a root at b = 0 ends), and takes the
+    # distance there only.  A grid end counts unless the distance falls from it into the grid.
+    # r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken: Du - a Dg
+    # loses up to 40x more digits, as D is O(n^2) on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
-    e, eps = (2.0 - d) / 2.0, float(np.finfo(float).eps)
+    e, eps, n = (2.0 - d) / 2.0, float(np.finfo(float).eps), len(w)
     if disc._bubble_grid is None:  # the grid pass depends on disc only: made once, kept on it
         half = np.tanh(np.linspace(0.0, BUBBLE_END, 1 + math.ceil(BUBBLE_STEPS * max(1.0, -e))))
         grid = np.concatenate([-half[:0:-1], half])  # odd in s, with b = 0 and the half's nodes
         base = 1.0 - np.outer(cos_t, grid)
-        G, dG = base**e, (-e * cos_t)[:, None] * base ** (e - 1.0)
-        DG, DdG, w_abs_D = D @ G, D @ dG, w[:, None] * np.abs(D)
+        G, dG = base**e, np.multiply(-e * cos_t[:, None], base ** (e - 1.0), out=base)
+        DG, DdG = D @ G, D @ dG
         gg, gdg = w @ (G * G + DG * DG), w @ (G * dG + DG * DdG)
+        w_abs_D = np.abs(D)  # last and in place, so the pass holds one n x n array at a time
+        w_abs_D *= w[:, None]
         object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg, w_abs_D))
     grid, G, dG, DG, DdG, gg, gdg, w_abs_D = disc._bubble_grid
-    g, dg, r, wu = np.empty_like(u), np.empty_like(u), np.empty_like(u), w * u
+    # [u; Du], r and gs's [g; Dg] and [d_b g; D d_b g] are flat rows: a pairing is one dot
+    ww, wu, r, wr = np.concatenate([w, w]), (w * u).ravel(), np.empty(2 * n), np.empty(2 * n)
+    gs, at, ecos = np.empty((4, n)), [math.nan], -e * cos_t  # at: the b of the fit in buffers
+    g2, dg2 = gs[:2].reshape(-1), gs[2:].reshape(-1)
 
-    def fit(b: float) -> tuple[float, float]:  # (half slope, distance^2) at b
-        g[0] = fn.bubble_profile(cos_t, b, d)
-        np.matmul(D, g[0], out=g[1])
-        np.matmul(D, np.multiply(-e * cos_t / (1.0 - b * cos_t), g[0], out=dg[0]), out=dg[1])
-        a = _w12_pair(wu, g) / _w12_pair(w * g, g)
-        np.matmul(D, np.subtract(u[0], a * g[0], out=r[0]), out=r[1])
-        wr = w * r
-        dr_floor = float(np.abs(dg[1]) @ (w_abs_D @ np.abs(r[0])))  # D r's: |D||r| row by row
-        s = np.add.reduce(np.multiply(wr, dg, out=dg), axis=1)  # _w12_pair(wr, dg)'s; dg spent
-        slope = -a * (float(s[1]) + float(s[0]))
-        floor = eps * abs(a) * (4.0 * float(np.abs(dg, out=dg).sum()) + dr_floor)  # its rounding
-        return (0.0 if abs(slope) <= floor else slope), _w12_pair(wr, r)  # 0: _root stops there
+    def fit(b: float) -> float:  # the half slope at b, with r and w r left in their buffers
+        at[0], gs[0] = b, fn.bubble_profile(cos_t, b, d)
+        np.multiply(np.divide(ecos, 1.0 - b * cos_t), gs[0], out=gs[2])
+        np.matmul(gs[::2], D.T, out=gs[1::2])  # D g and D d_b g in one product
+        a = float(wu @ g2) / float(np.multiply(ww, g2) @ g2)
+        np.matmul(D, np.subtract(u[0], a * gs[0], out=r[:n]), out=r[n:])
+        slope = -a * float(np.multiply(ww, r, out=wr) @ dg2)
+        adg = np.abs(dg2)
+        dr_floor = float(adg[n:] @ (w_abs_D @ np.abs(r[:n])))  # D r's: |D||r| row by row
+        floor = eps * abs(a) * (4.0 * float(np.abs(wr) @ adg) + dr_floor)  # its rounding
+        return 0.0 if abs(slope) <= floor else slope  # 0: _root stops there
 
-    a = (wu[0] @ G + wu[1] @ DG) / gg
-    slope = -a * (wu[0] @ dG + wu[1] @ DdG - a * gdg)
-    ends = [b for b, end in zip(grid[[0, -1]], (slope[0] >= 0, slope[-1] <= 0)) if end]
-    dists = [fit(b)[1] for b in ends]
-    dists += [_root(fit, grid[i], grid[i + 1])
+    def dist2(b: float) -> float:  # from the buffers when _root ends at its last fit
+        if b != at[0]:
+            fit(b)
+        return float(wr @ r)
+
+    a, mid = (wu[:n] @ G + wu[n:] @ DG) / gg, len(grid) // 2
+    slope = -a * (wu[:n] @ dG + wu[n:] @ DdG - a * gdg)
+    if slope[mid - 1] < 0 <= slope[mid] or slope[mid] < 0 <= slope[mid + 1]:  # at b = 0
+        slope[mid] = fit(0.0)
+    bs, fs = grid.tolist(), slope.tolist()
+    dists = [dist2(b) for b, end in zip((bs[0], bs[-1]), (fs[0] >= 0, fs[-1] <= 0)) if end]
+    dists += [_root(fit, dist2, bs[i], fs[i], bs[i + 1], fs[i + 1])
               for i in np.flatnonzero((slope[:-1] < 0) & (slope[1:] >= 0))]
     return math.sqrt(min(dists)) / norm_u
 
@@ -151,7 +156,7 @@ def _distances(disc: Discretization, U: np.ndarray, DU: np.ndarray, family: str)
     if family == "bubbles_and_constants" and disc.model.kind is not ModelKind.SPHERE_RADIAL:
         raise ValueError("bubbles are defined on the sphere-radial model only")
     w, total, UU = disc.quad_weights, np.add.reduce, np.stack([U, DU])
-    s = total(w * UU * UU, axis=-1)  # summed as _w12_pair's, bit for bit
+    s = total(w * UU * UU, axis=-1)  # summed as w12_norm_sq's, bit for bit
     norm_sq = s[1] + s[0]
     # closed-form projection onto constants: the optimal one is the volume average
     C = U - (U @ w / disc.model.total_volume)[..., None]

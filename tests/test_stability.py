@@ -259,21 +259,60 @@ def test_distance_to_bubbles_is_rounding_level_on_the_search_grid(d):
 
 def test_distance_to_bubbles_fits_fewer_bubbles_than_two_half_searches(monkeypatch):
     # one search over b in (-1, 1) instead of one over [0, 1) on u and on its reflection:
-    # the latter took 275 bubble_profile calls on these 20 samples
+    # the latter took 275 bubble_profile calls on these 20 samples, fits at both bracket ends
+    # 210, and the search from the grid pass's end slopes 143, bounded here with 10 % room
     real, calls = fn.bubble_profile, []
     monkeypatch.setattr(fn, "bubble_profile", lambda *args: calls.append(1) or real(*args))
     disc = build(make_sphere(3), 64)
     for values in _chebyshev_samples(disc):
         st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
-    assert len(calls) < 275
+    assert len(calls) <= 157
 
 
-def _root_and_brentq(f, lo, hi, root=st._root):
-    """(distance^2 from _root, f's distance^2 at brentq's root, the evaluations of each)."""
+def test_distance_to_bubbles_fits_no_grid_node_and_one_distance_per_search(monkeypatch):
+    # each root search starts from the grid pass's slopes at its bracket ends, so no interior
+    # node of the grid is fitted but b = 0, where an end's slope is fitted (the grid pass reads
+    # only rounding there for an even u), and takes the distance from the formed r at most once
+    real_profile, real_root, fitted, distances = fn.bubble_profile, st._root, [], []
+    monkeypatch.setattr(fn, "bubble_profile", lambda *args: fitted.append(args[1]) or
+                        real_profile(*args))
+
+    def recorded(slope, dist2, *ends):
+        calls = []
+        d2 = real_root(slope, lambda b: calls.append(b) or dist2(b), *ends)
+        distances.append(len(calls))
+        return d2
+
+    monkeypatch.setattr(st, "_root", recorded)
+    disc = build(make_sphere(3), 64)
+    for values in _chebyshev_samples(disc):
+        st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
+    assert len(distances) >= 20 and max(distances) == 1
+    assert not set(fitted) & set(disc._bubble_grid[0][1:-1].tolist()) - {0.0}
+
+
+def test_distance_to_bubbles_is_pinned_on_the_batch_recipe():
+    # ten samples of the benchmark's recipe on S^3 at n = 64, each nearer a bubble than a
+    # constant, against the distances of the search that fitted both bracket ends
+    disc = build(make_sphere(3), 64)
+    want = [0.9157696429434125, 0.6940209245398653, 0.3626670077543033, 0.9336655226121782,
+            0.7067329103611864, 0.3666438000117787, 0.45719701425380377, 0.14655079973085774,
+            0.7166292801087747, 0.3227984644324538]
+    for values, distance in zip(_chebyshev_samples(disc, 10), want):
+        u = DiscreteFunction(disc, values)
+        assert st.distance_to_extremals(u, "bubbles_and_constants") == pytest.approx(
+            distance, rel=1e-14, abs=0.0)
+        assert st.distance_to_extremals(u, "constants") > distance
+
+
+def _root_and_brentq(slope, dist2, lo, hi, ends=None, root=st._root):
+    """(distance^2 from _root, dist2 at brentq's root, the slope evaluations of each); the end
+    slopes, which brentq evaluates itself, are _root's arguments, from slope unless given."""
     ours, theirs = [], []
-    d2 = root(lambda b: ours.append(b) or f(b), lo, hi)
-    at = brentq(lambda b: theirs.append(b) or f(b)[0], lo, hi, xtol=1e-300)
-    return d2, f(at)[1], len(ours), len(theirs)
+    f_lo, f_hi = (slope(lo), slope(hi)) if ends is None else ends
+    d2 = root(lambda b: ours.append(b) or slope(b), dist2, lo, f_lo, hi, f_hi)
+    at = brentq(lambda b: theirs.append(b) or slope(b), lo, hi, xtol=1e-300)
+    return d2, dist2(at), 2 + len(ours), len(theirs)
 
 
 @pytest.mark.parametrize("slope", [
@@ -282,28 +321,32 @@ def _root_and_brentq(f, lo, hi, root=st._root):
     lambda x: -1.0 if x < 0.3 else 1.0,  # a jump
 ], ids=["smooth", "flat", "jump"])
 def test_root_is_brentqs_root(slope):
-    # f returns (slope, b), so the distance^2 _root returns is its root
-    root, want, ours, theirs = _root_and_brentq(lambda b: (slope(b), b), 0.0, 1.0)
+    # the distance^2 is b, so the distance^2 _root returns is its root
+    root, want, ours, theirs = _root_and_brentq(slope, lambda b: b, 0.0, 1.0)
     assert abs(root - want) <= 4 * np.finfo(float).eps * abs(want) and 3 < ours <= theirs
 
 
 def test_root_compares_signs_not_their_product():
-    # the end slopes' product, -0.09e-400, underflows to -0.0
-    assert st._root(lambda b: (1e-200 * (b - 0.3), b), 0.0, 1.0) == pytest.approx(0.3, rel=1e-15)
+    # the end slopes' product, -0.21e-400, underflows to -0.0
+    assert st._root(lambda b: 1e-200 * (b - 0.3), lambda b: b, 0.0, -0.3e-200, 1.0,
+                    0.7e-200) == pytest.approx(0.3, rel=1e-15)
 
 
 def test_root_is_taken_at_the_point_of_smaller_slope():
-    # the first bisection step lands on the root of b - 0.5, and the search ends there
-    points = []
-    assert st._root(lambda b: points.append(b) or (b - 0.5, b), 0.0, 1.0) == 0.5
-    assert points == [0.0, 1.0, 0.5]
+    # the regula falsi point of the end slopes lands on the root of b - root, where bisection
+    # would land at 0.25 only after 0.5, and the search ends there, with the distance there only
+    for root in (0.5, 0.25):
+        slopes, dists = [], []
+        assert st._root(lambda b: slopes.append(b) or b - root, lambda b: dists.append(b) or b,
+                        0.0, -root, 1.0, 1.0 - root) == root
+        assert slopes == [root] and dists == [root]
 
 
 def test_root_is_brentqs_root_on_the_envelope_slope(monkeypatch):
     real, evaluations = st._root, []
 
-    def compared(f, lo, hi):
-        d2, want, ours, theirs = _root_and_brentq(f, lo, hi, real)
+    def compared(slope, dist2, lo, f_lo, hi, f_hi):
+        d2, want, ours, theirs = _root_and_brentq(slope, dist2, lo, hi, (f_lo, f_hi), real)
         # distances: distance^2 itself scatters by up to 1.7e-15 within 6 ulps of the root in b
         assert math.sqrt(d2) == pytest.approx(math.sqrt(want), rel=1e-15, abs=0.0)
         evaluations.append((ours, theirs))
@@ -318,23 +361,25 @@ def test_root_is_brentqs_root_on_the_envelope_slope(monkeypatch):
 
 
 @pytest.mark.parametrize("slope,calls", [
-    (lambda x: x, 2),  # an exact zero at b = 0, the end of greater distance
-    (lambda x: x + 1.0, 2),  # one sign at both ends
-    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 3),  # a NaN slope inside
-    (lambda x: math.nan if x == 0.0 else x - 0.5, 2),  # a NaN slope at an end
+    (lambda x: x, 0),  # an exact zero at b = 0, the end of greater distance
+    (lambda x: x + 1.0, 0),  # one sign at both ends
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 1),  # a NaN slope inside
+    (lambda x: math.nan if x == 0.0 else x - 0.5, 0),  # a NaN slope at an end
 ], ids=["zero-end", "one-sign", "nan-inside", "nan-end"])
 def test_root_without_a_bracket_is_the_lesser_end_value(slope, calls):
-    # distance^2 2 - b: 2 at b = 0, and the lesser 1 at b = 1
-    points = []
-    assert st._root(lambda b: points.append(b) or (slope(b), 2.0 - b), 0.0, 1.0) == 1.0
-    assert len(points) == calls
+    # distance^2 2 - b: 2 at b = 0, and the lesser 1 at b = 1, both taken only then
+    slopes, dists = [], []
+    assert st._root(lambda b: slopes.append(b) or slope(b), lambda b: dists.append(b) or 2.0 - b,
+                    0.0, slope(0.0), 1.0, slope(1.0)) == 1.0
+    assert len(slopes) == calls and dists == [1.0, 0.0]
 
 
 def test_root_raises_after_100_steps():
-    points = []
+    points, dists = [], []
     with pytest.raises(RuntimeError):  # a jump at 0, which 100 halvings of [-1, 1] cannot reach
-        st._root(lambda b: points.append(b) or (-1.0 if b <= 0.0 else 1.0, b), -1.0, 1.0)
-    assert len(points) == 2 + 100
+        st._root(lambda b: points.append(b) or (-1.0 if b <= 0.0 else 1.0),
+                 lambda b: dists.append(b) or b, -1.0, -1.0, 1.0, 1.0)
+    assert len(points) == 100 and not dists
 
 
 @pytest.mark.skipif(
