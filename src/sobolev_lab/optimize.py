@@ -128,8 +128,8 @@ def hessian_spectrum_at(spec: QuotientSpec, u: DiscreteFunction, k: int) -> Spec
         excess *= rate  # the floor excess predicted for X
         if excess > 1.0:
             V = qr(X, mode="economic", check_finite=False)[0]
-        else:  # divide and conquer: MRRR took 3x as long on the circle's (cos, sin) pairs
-            evals, V, R = _ritz(X, lambda Q: A2 * sw * (L @ (Q / sw)) + pot * Q, "evd")
+        else:
+            evals, V, R = _ritz(X, lambda Q: A2 * sw * (L @ (Q / sw)) + pot * Q)
             R -= np.outer(g, g @ R) / (g @ g)  # the tangent part of S c - lambda c
             res, Y = np.linalg.norm(R[:, :k], axis=0), np.abs(V[:, :k])
             floor = FLOOR_FACTOR * EPS * np.linalg.norm(abs_S @ Y + np.abs(evals[:k]) * Y, axis=0)

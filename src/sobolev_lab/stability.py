@@ -83,15 +83,15 @@ def _root(slope, dist2, x1: float, f1: float, x2: float, f2: float) -> float:
 
 def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> float:
     # W^{1,2} least squares on raw rows [f; Df] over the one family b in (-1, 1), b < 0 the
-    # bubbles at t = pi.  a(b) is closed form, and the envelope derivative
-    # d/db ||u - a g||^2 = -2a <r, d_b g>, r = u - a g, turns from - to + on the grid (step
+    # bubbles at t = pi.  a(b) = <u, g> / <g, g> is closed form, and the envelope derivative
+    # d/db ||u - a g||^2 = -2a (<u, d_b g> - a <g, d_b g>) turns from - to + on the grid (step
     # ~0.25 / max(1, |e|) in s = artanh b, as |d_s log g| <= 2|e|) around each minimum in b;
     # Chandrupatla's method (_root) from the grid's end slopes (b = 0's fitted: an even u's is
     # rounding) solves it to 8 eps |b|, as an exact bubble's distance is linear in |b - b*|, or
-    # until fit gives the slope as 0, within its rounding level eps |a| (4 sum |w r d_b g| +
-    # sum w |D d_b g| |D||r|), the second term D r's (so a root at b = 0 ends), and takes the
-    # distance there only.  A grid end counts unless the distance falls from it into the grid.
-    # r is formed (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble) and D r taken: Du - a Dg
+    # until fit gives the slope as 0, within its pairings' rounding 4 eps |a| (sum |w u d_b g| +
+    # |a| sum |w g d_b g|) (so a root at b = 0 ends), and takes the distance there only.  A grid
+    # end counts unless the distance falls from it into the grid.  The distance is from the
+    # formed r = u - a g and D r (||u||^2 - <u,g>^2 / ||g||^2 is noise on a bubble): Du - a Dg
     # loses up to 40x more digits, as D is O(n^2) on the O(1) parts of u and g.
     D, w, cos_t, d = disc.diff_matrix, disc.quad_weights, np.cos(disc.nodes), disc.model.dim
     e, eps, n = (2.0 - d) / 2.0, float(np.finfo(float).eps), len(w)
@@ -102,31 +102,29 @@ def _distance_to_bubbles(disc: Discretization, u: np.ndarray, norm_u: float) -> 
         G, dG = base**e, np.multiply(-e * cos_t[:, None], base ** (e - 1.0), out=base)
         DG, DdG = D @ G, D @ dG
         gg, gdg = w @ (G * G + DG * DG), w @ (G * dG + DG * DdG)
-        w_abs_D = np.abs(D)  # last and in place, so the pass holds one n x n array at a time
-        w_abs_D *= w[:, None]
-        object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg, w_abs_D))
-    grid, G, dG, DG, DdG, gg, gdg, w_abs_D = disc._bubble_grid
-    # [u; Du], r and gs's [g; Dg] and [d_b g; D d_b g] are flat rows: a pairing is one dot
-    ww, wu, r, wr = np.concatenate([w, w]), (w * u).ravel(), np.empty(2 * n), np.empty(2 * n)
-    gs, at, ecos = np.empty((4, n)), [math.nan], -e * cos_t  # at: the b of the fit in buffers
+        object.__setattr__(disc, "_bubble_grid", (grid, G, dG, DG, DdG, gg, gdg))
+    grid, G, dG, DG, DdG, gg, gdg = disc._bubble_grid
+    # [u; Du] and gs's [g; Dg] and [d_b g; D d_b g] are flat rows: a pairing is one dot
+    ww, wu = np.concatenate([w, w]), (w * u).ravel()
+    wu_abs, gs, at, ecos = np.abs(wu), np.empty((4, n)), [math.nan, 0.0], -e * cos_t
     g2, dg2 = gs[:2].reshape(-1), gs[2:].reshape(-1)
 
-    def fit(b: float) -> float:  # the half slope at b, with r and w r left in their buffers
+    def fit(b: float) -> float:  # the half slope at b, with b and a in at and g left in gs
         at[0], gs[0] = b, fn.bubble_profile(cos_t, b, d)
         np.multiply(np.divide(ecos, 1.0 - b * cos_t), gs[0], out=gs[2])
         np.matmul(gs[::2], D.T, out=gs[1::2])  # D g and D d_b g in one product
-        a = float(wu @ g2) / float(np.multiply(ww, g2) @ g2)
-        np.matmul(D, np.subtract(u[0], a * gs[0], out=r[:n]), out=r[n:])
-        slope = -a * float(np.multiply(ww, r, out=wr) @ dg2)
-        adg = np.abs(dg2)
-        dr_floor = float(adg[n:] @ (w_abs_D @ np.abs(r[:n])))  # D r's: |D||r| row by row
-        floor = eps * abs(a) * (4.0 * float(np.abs(wr) @ adg) + dr_floor)  # its rounding
+        wg, adg = np.multiply(ww, g2), np.abs(dg2)
+        a = at[1] = float(wu @ g2) / float(wg @ g2)
+        slope = -a * (float(wu @ dg2) - a * float(wg @ dg2))
+        floor = 4.0 * eps * abs(a) * (float(wu_abs @ adg) + abs(a) * float(np.abs(wg) @ adg))
         return 0.0 if abs(slope) <= floor else slope  # 0: _root stops there
 
-    def dist2(b: float) -> float:  # from the buffers when _root ends at its last fit
+    def dist2(b: float) -> float:  # once per search, from the last fit's g when it is at b
         if b != at[0]:
             fit(b)
-        return float(wr @ r)
+        r = u[0] - at[1] * gs[0]
+        r = np.concatenate([r, D @ r])
+        return float(np.multiply(ww, r) @ r)
 
     a, mid = (wu[:n] @ G + wu[n:] @ DG) / gg, len(grid) // 2
     slope = -a * (wu[:n] @ dG + wu[n:] @ DdG - a * gdg)

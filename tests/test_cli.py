@@ -544,7 +544,7 @@ def test_bubble_scan_along_a_mode_with_its_nearest_bubble_at_b_0(tmp_path, n, mo
 @pytest.mark.parametrize("n", [64, 65, 128, 129, 256, 512])
 @pytest.mark.parametrize("d,q", [(3, 4), (3, 5), (8, 2.5)])
 def test_bubble_scan_at_b_0_reads_the_rounding_of_d_r(tmp_path, d, q, n, mode_index):
-    # at b = 0 the slope of an even u is D r's rounding, up to 11x a floor that left it out
+    # at b = 0 the slope of an even u is its Gram pairings' rounding, which the fit reads as 0
     out = tmp_path / "scan.json"
     argv = ["scan", "--d", str(d), "--q", str(q), "--family", "bubbles_and_constants",
             "--n", str(n), "--mode-index", str(mode_index), "--out", str(out)]

@@ -9,6 +9,7 @@ from scipy.special import roots_jacobi
 from sobolev_lab import constants as cst
 from sobolev_lab import discretization as dz
 from sobolev_lab import functionals as fn
+from sobolev_lab import optimize as opt
 from sobolev_lab import stability as st
 from sobolev_lab.discretization import (
     MIN_NODES,
@@ -67,6 +68,18 @@ def test_fourier_differentiation(product4_disc):
 def test_laplacian_annihilates_constants(sphere3_disc, product4_disc):
     for disc in (sphere3_disc, product4_disc):
         assert np.max(np.abs(disc.laplace_matrix @ np.ones(disc.n))) < 1e-11
+
+
+@pytest.mark.parametrize("n,bound", [(256, 5.7e-10), (512, 6.8e-9), (1024, 2.6e-7)])
+def test_certify_at_the_constant_reads_the_weak_laplacians_projection(n, bound):
+    # the L^q-normalized constant is critical; relative to Q max|u|^{q-1}, certify reads 5.7e-11,
+    # 6.8e-10 and 2.5e-8 on S^8 at q = 2.5 (the bounds are 10x that), and 9.1e-9, 3.0e-7 and
+    # 1.8e-5 without the P^T Ke P block of _weak_laplacian, whose polar rows then miss L 1 = 0
+    disc = build(make_sphere(8), n)
+    spec = cst.default_spec(disc, 2.5)
+    u = fn.normalize(DiscreteFunction(disc, np.ones(n)), spec.q)
+    scale = fn.quotient(spec, u) * np.max(np.abs(u.values)) ** (spec.q - 1.0)
+    assert opt.certify(spec, u) <= bound * scale
 
 
 def test_sphere_eigenvalues_exact():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,7 +261,8 @@ def test_distance_to_bubbles_is_rounding_level_on_the_search_grid(d):
 def test_distance_to_bubbles_fits_fewer_bubbles_than_two_half_searches(monkeypatch):
     # one search over b in (-1, 1) instead of one over [0, 1) on u and on its reflection:
     # the latter took 275 bubble_profile calls on these 20 samples, fits at both bracket ends
-    # 210, and the search from the grid pass's end slopes 143, bounded here with 10 % room
+    # 210, and the search from the grid pass's end slopes 143 with a slope from the formed
+    # residual, bounded here with 10 % room; the slope from the Gram pairings takes 155
     real, calls = fn.bubble_profile, []
     monkeypatch.setattr(fn, "bubble_profile", lambda *args: calls.append(1) or real(*args))
     disc = build(make_sphere(3), 64)
@@ -289,6 +291,23 @@ def test_distance_to_bubbles_fits_no_grid_node_and_one_distance_per_search(monke
         st.distance_to_extremals(DiscreteFunction(disc, values), "bubbles_and_constants")
     assert len(distances) >= 20 and max(distances) == 1
     assert not set(fitted) & set(disc._bubble_grid[0][1:-1].tolist()) - {0.0}
+
+
+def test_distance_to_bubbles_keeps_no_n_by_n_array():
+    # the first bubble distance at d = 16, n = 1024 keeps its grid pass on the discretization:
+    # G, d_b G, D G and D d_b G, four n x m arrays, and no n x n one
+    n = 1024
+    st.distance_to_extremals(DiscreteFunction(build(make_sphere(16), 16), np.arange(16.0)),
+                             "bubbles_and_constants")  # warm imports and caches outside the trace
+    disc = build(make_sphere(16), n)
+    u = DiscreteFunction(disc, 1.0 + 0.3 * np.cos(disc.nodes))
+    tracemalloc.start()
+    try:
+        st.distance_to_extremals(u, "bubbles_and_constants")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4 * n * len(disc._bubble_grid[0]) * 8 + 2**20
 
 
 def test_distance_to_bubbles_is_pinned_on_the_batch_recipe():
