@@ -4,16 +4,16 @@ The sphere-radial problem is mapped by x = cos t onto (-1, 1), where the volume 
 the Gegenbauer weight (1-x^2)^{(d-2)/2}.  Nodes x_j and weights w_j come from the Gauss rule for
 that weight, so the vanishing boundary density is handled analytically; the weight is even, so
 the rule is solved on its nonnegative nodes from the half-size Jacobi matrix (Golub & Welsch
-1969) and mirrored, x exactly odd and w exactly even.  The nodes' barycentric weights are
-(-1)^j sqrt((1 - x_j^2) w_j) in closed form (Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014),
-and so is d/dx's diagonal (d/2) x_j/(1 - x_j^2).
-The radial Laplacian -Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer
-eigenfunctions and eigenvalues k*(k+d-1).  It is assembled in weak form,
-W(-Delta) = Dt^T W Dt with W the quadrature weights: for degree < n both sides
-of int f_t g_t dVol = int (-Delta f) g dVol have degree <= 2n - 2, and the rule
-is exact to degree 2n - 1, so this is the collocation matrix in exact
-arithmetic, while in floating point W(-Delta) is symmetric by construction.
-Constants are projected out of both, Dt P and P^T W(-Delta) P, P = I - 1 w^T/Vol.
+1969) and mirrored, x exactly odd and w exactly even.  Its Newton step and weights, and the
+eigen-solve's modal start, read the orthonormal Gegenbauer polynomials from one three-term
+recurrence.  The nodes' barycentric weights are (-1)^j sqrt((1 - x_j^2) w_j) in closed form
+(Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014), as is d/dx's diagonal (d/2) x_j/(1 - x_j^2).
+The radial Laplacian -Delta f = d*x*f_x - (1 - x^2)*f_xx has Gegenbauer eigenfunctions and
+eigenvalues k*(k+d-1).  It is assembled in weak form, W(-Delta) = Dt^T W Dt with W the quadrature
+weights: for degree < n both sides of int f_t g_t dVol = int (-Delta f) g dVol have degree at most
+2n - 2, and the rule is exact to degree 2n - 1, so this is the collocation matrix in exact
+arithmetic, while in floating point W(-Delta) is symmetric by construction.  Constants are
+projected out of both, Dt P and P^T W(-Delta) P, P = I - 1 w^T/Vol.
 The circle factor of the product model uses uniform nodes and Fourier differentiation; there
 -Delta f = -f''.  Both operators commute bit for bit with the reflection t -> pi - t (s -> -s on
 the circle), and Dt is exactly odd by construction (its bottom rows are its top rows mirrored and
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, circulant, eigh, eigvalsh_tridiagonal, qr
-from scipy.special import eval_gegenbauer
 
 from .geometry import ManifoldModel, ModelKind, unit_sphere_volume
 
@@ -98,23 +97,33 @@ class SpectralData:
 
 
 def _jacobi_offdiagonals(n: int, lam: float) -> np.ndarray:
-    """The Jacobi off-diagonals b_0 .. b_n, b_0 = b_n = 0: x p_j = b_{j+1} p_{j+1} + b_j p_{j-1}."""
+    """b_0 .. b_n, b_0 = b_n = 0, of _gegenbauer_rows: x p_j = b_{j+1} p_{j+1} + b_j p_{j-1}."""
     k = np.arange(1.0, n)
     return np.pad(np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1))), 1)
+
+
+def _gegenbauer_rows(x: np.ndarray, lam: float, k: int, p0=1.0) -> np.ndarray:
+    """p_0 .. p_k at x, orthonormal for (1 - x^2)^(lam - 1/2) and scaled by p0 (a number, or one
+    per node): the three-term recurrence on _jacobi_offdiagonals from p_{-1} = 0, row by row."""
+    b, P = _jacobi_offdiagonals(k + 1, lam), np.zeros((k + 2, len(x)))
+    P[1] = p0
+    for j in range(1, k + 1):
+        P[j + 1] = (x * P[j] - b[j - 1] * P[j - 1]) / b[j]
+    return P[1:]
 
 
 def _gegenbauer_rule(n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Gegenbauer nodes, descending, and weights for (1 - x^2)^(lam - 1/2) on (-1, 1):
     x exactly odd and w exactly even.  The Jacobi matrix has a zero diagonal and off-diagonals b_k,
     so its square on e_1, e_3, .. is tridiagonal with the positive x_j^2 as eigenvalues (Golub &
-    Welsch, Math. Comp. 23, 1969); then one Newton step and the weights of scipy's roots_jacobi."""
+    Welsch, Math. Comp. 23, 1969); then one Newton step and the weights 1/((1 - x^2) p_n'^2)."""
     h, c = n // 2, _jacobi_offdiagonals(n, lam)[1 : 2 * (n // 2) + 1]  # b_1 .. b_{2h}
     x = np.sqrt(eigvalsh_tridiagonal(c[::2] ** 2 + c[1::2] ** 2, c[1:-1:2] * c[2::2])[::-1])
-    x = np.append(x, np.zeros(n % 2))  # at odd n x = 0, where C_n is exactly 0
-    y = eval_gegenbauer(n, lam, x)
-    dy = (-n * x * y + (n + 2 * lam - 1) * eval_gegenbauer(n - 1, lam, x)) / (1 - x * x)
-    x -= y / dy
-    w = 1.0 / (eval_gegenbauer(n - 1, lam, x) * dy)
+    x = np.append(x, np.zeros(n % 2))  # at odd n x = 0, where p_n is exactly 0
+    P, s = _gegenbauer_rows(x, lam, n), 1.0 - x * x
+    dy = (math.sqrt(n * (n + 2 * lam - 1) * (n + lam) / (n + lam - 1)) * P[n - 1]  # p_n' by C_n's
+          - n * x * P[n]) / s  # derivative identity, in the recurrence's leading coefficients
+    x, w = x - P[n] / dy, 1.0 / (s * dy * dy)
     x, w = (np.concatenate([v, sign * v[h - 1 :: -1]]) for v, sign in ((x, -1.0), (w, 1.0)))
     return x, w * (math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0) / w.sum())
 
@@ -237,13 +246,10 @@ def _refine(S: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _halves(disc: Discretization, k: int) -> SpectralData:
-    """The sphere's k smallest -Delta eigenpairs, from its exact Gegenbauer modes, half by half."""
+    """The sphere's k smallest -Delta eigenpairs, half by half, from _gegenbauer_rows' modes."""
     n, h, L, qw = disc.n, disc.n // 2, disc.laplace_matrix, disc.quad_weights
     a, m, x = _fold_weights(qw), n - h, np.cos(disc.nodes[: n - h])
-    b, P = _jacobi_offdiagonals(n, 0.5 * (disc.model.dim - 1)), np.zeros((k + 1, m))
-    P[1] = math.sqrt(2.0 / qw.sum()) * a  # P[j + 1] = sqrt(2) a p_j on the top nodes
-    for j in range(1, k):
-        P[j + 1] = (x * P[j] - b[j - 1] * P[j - 1]) / b[j]
+    P = _gegenbauer_rows(x, 0.5 * (disc.model.dim - 1), k - 1, math.sqrt(2.0 / qw.sum()) * a)
     values, residuals, phis = np.empty(k), np.empty(k), np.zeros((n, k))
     # F^T S F, S = sqrt(W) L / sqrt(W), on the even frame (e_j + e_Rj)/sqrt(2), e_mid (even degrees)
     # and the odd frame (e_j - e_Rj)/sqrt(2) (odd degrees, none at k = 1), from slices of L
@@ -251,7 +257,7 @@ def _halves(disc: Discretization, k: int) -> SpectralData:
         block = fold(L[:s, :s], L[:s, ::-1][:, :s])
         block *= a[:s, None]
         block *= a[:s] / qw[:s]
-        values[i::2], vecs, residuals[i::2] = _refine(block, P[i + 1 :: 2, :s].T)
+        values[i::2], vecs, residuals[i::2] = _refine(block, P[i::2, :s].T)
         phis[:s, i::2] = vecs * (math.sqrt(0.5) / a[:s, None])
     phis[n - h :] = phis[h - 1 :: -1] * (-1.0) ** np.arange(k)  # degree j has parity (-1)^j
     order = np.argsort(values, kind="stable")

@@ -179,7 +179,8 @@ def _bordered_residual(spec: QuotientSpec, x: np.ndarray, K: np.ndarray, target:
         ((K.T * qw[None, :]) @ u.T).T - target,
     ], axis=-1)
     border = r[..., n:]
-    return r, np.sqrt(r[..., :n] ** 2 @ qw + np.add.reduce(border * border, axis=-1))
+    with np.errstate(over="raise"):  # an infinite norm under an infinite floor reads as converged
+        return r, np.sqrt(r[..., :n] ** 2 @ qw + np.add.reduce(border * border, axis=-1))
 
 
 def _floor(spec: QuotientSpec, x: np.ndarray, abs_L: np.ndarray):
@@ -188,7 +189,8 @@ def _floor(spec: QuotientSpec, x: np.ndarray, abs_L: np.ndarray):
     n, au = spec.disc.n, np.abs(x[..., : spec.disc.n])
     terms = (2.0 * spec.A * (abs_L @ au.T).T + 2.0 * spec.B * au
              + np.abs(x[..., n : n + 1]) * au ** (spec.q - 1.0))
-    norm = np.sqrt(np.add.reduce(spec.disc.quad_weights * terms * terms, axis=-1))
+    with np.errstate(over="raise"):  # an infinite floor would certify any residual
+        norm = np.sqrt(np.add.reduce(spec.disc.quad_weights * terms * terms, axis=-1))
     return FLOOR_FACTOR * EPS * norm
 
 
@@ -290,9 +292,10 @@ def _minimize_starts(spec: QuotientSpec, starts: list) -> CriticalPoint:
         F, f = fn.euler_lagrange(spec, V, 0.0), fn.power_qm1(V, q)
         kappa = total(qw * V * F, axis=1)[:, None]
         G = F - kappa * f
-        with np.errstate(over="ignore"):  # an overflow is reported just below
+        with np.errstate(over="ignore"):  # an overflow is reported just below, F's too: at a
             res = [math.sqrt(s) for s in total(qw * G * G, axis=1).tolist()]
-        if not all(map(math.isfinite, res)):
+            size = total(qw * F * F, axis=None)  # constant G can cancel to 0 where F overflows
+        if not (all(map(math.isfinite, res)) and math.isfinite(size)):
             raise ValueError("non-finite gradient in projected-gradient descent")
         if min(res, default=0.0) < SWITCH_TOL:  # these rows leave; live keeps the others
             moving = [r >= SWITCH_TOL for r in res]

@@ -348,24 +348,46 @@ def test_fit_with_two_points_reports_no_error(tmp_path, capsys):
     assert capsys.readouterr().out == "slope 4.0875 +/- nan over 2 points -> degenerate\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["minimize", "--n", "64", "--q", "4", "--A", "1e300"],
-    ["minimize", "--n", "64", "--q", "4", "--B", "1e300"],
-    ["minimize", "--n", "64", "--q", "4", "--A", "1e300", "--multistart"],
-], ids=["huge-A", "huge-B", "huge-A-multistart"])
-def test_minimize_solver_value_error_is_numerical_failure(argv, capsys):
-    line = "numerical failure: non-finite gradient in projected-gradient descent\n"
-    assert main(argv) == EXIT_NUMERICAL_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == line
-    # pytest captures warnings; a fresh interpreter shows what reaches fd 2
+def _fresh_cli(argv):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter: pytest captures warnings,
+    a fresh interpreter shows what reaches fd 2."""
     src = os.path.dirname(os.path.dirname(sobolev_lab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "sobolev_lab.cli", *argv],
                          env=env, capture_output=True, text=True)
-    assert (out.returncode, out.stdout, out.stderr) == (EXIT_NUMERICAL_ERROR, "", line)
+    return out.returncode, out.stdout, out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--n", "64", "--q", "4", "--A", "1e300"],
+    ["minimize", "--n", "64", "--q", "4", "--B", "1e300"],
+    ["minimize", "--n", "64", "--q", "4", "--A", "1e300", "--multistart"],
+    ["minimize", "--n", "34", "--q", "4", "--B", "1e300"],
+], ids=["huge-A", "huge-B", "huge-A-multistart", "huge-B-n34"])
+def test_minimize_solver_value_error_is_numerical_failure(argv, capsys):
+    # at n = 34 the descent's G = F - kappa u^{q-1} cancels to exactly 0 at the constant start,
+    # so only F's own overflow shows that the terms are not finite
+    line = "numerical failure: non-finite gradient in projected-gradient descent\n"
+    assert main(argv) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
+    assert _fresh_cli(argv) == (EXIT_NUMERICAL_ERROR, "", line)
+
+
+def test_minimize_overflow_in_the_polish_is_numerical_failure(capsys):
+    # the descent passes this start to the polish, whose residual norm and rounding floor
+    # overflow: an infinite floor would certify the polish, and the run exited 0 with warnings
+    argv = ["minimize", "--model", "product", "--d", "4", "--n", "20", "--q", "4", "--A", "1e300"]
+    assert main(argv) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    code, out, err = _fresh_cli(argv)
+    assert (code, out) == (EXIT_NUMERICAL_ERROR, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "Warning" not in err
 
 
 def test_reproduce_single_criterion(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Every module-level import in the package and the tests is read somewhere,
 the package imports its own modules at module level only, the CLI is the
 only package module that imports json or csv: it alone formats output, no
-package module imports or loads scipy.optimize, no package module calls eigh
-with subset_by_index, and the CLI wraps no ValueError in a ConfigError."""
+package module imports or loads scipy.optimize or scipy.special, no package
+module calls eigh with subset_by_index, and the CLI wraps no ValueError in a
+ConfigError."""
 
 import ast
 import os
@@ -59,7 +60,7 @@ def test_only_the_cli_imports_json():
     assert importers == {"json": {"cli.py"}, "csv": {"cli.py"}}
 
 
-def test_no_package_module_imports_scipy_optimize():
+def _importers(prefix: str) -> list:
     # every import node, function-local ones included
     importers = []
     for path in sorted((ROOT / "src" / "sobolev_lab").glob("*.py")):
@@ -70,9 +71,17 @@ def test_no_package_module_imports_scipy_optimize():
                 modules = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
-            importers += [f"{path.name}:{node.lineno}" for m in modules
-                          if m.startswith("scipy.optimize")]
-    assert importers == []
+            importers += [f"{path.name}:{node.lineno}" for m in modules if m.startswith(prefix)]
+    return importers
+
+
+def test_no_package_module_imports_scipy_optimize():
+    assert _importers("scipy.optimize") == []
+
+
+def test_no_package_module_imports_scipy_special():
+    # the sphere grid's polynomials come from one three-term recurrence (discretization)
+    assert _importers("scipy.special") == []
 
 
 def test_no_package_module_calls_a_subset_eigh():
@@ -115,6 +124,7 @@ stability.distance_to_extremals(stability.bubble(disc, 1.0, 0.5), "bubbles_and_c
 constants.estimate_b_opt(disc.model, disc, budget=0, n_modes=2)
 cli.main(["reproduce", "--only", "b_estimator", "--out", sys.argv[1]])
 assert "scipy.optimize" not in sys.modules
+assert "scipy.special" not in sys.modules
 """
 
 
